@@ -31,12 +31,8 @@ from __future__ import annotations
 import os
 import random
 import time
-import warnings
 
-from repro.query.evaluator import (
-    DEFAULT_REDUCTION_THRESHOLD,
-    QueryEvaluator,
-)
+from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
 from repro.relational.database import Database
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
@@ -48,6 +44,9 @@ FANOUT = 2
 SURVIVOR_KEYS = 8  # reference keys that actually join: answers stay small
 ROUNDS = 3 if SMOKE else 5
 WARM_SPEEDUP_GATE = 5.0
+#: The fixed ``strategy="auto"`` gate the cost model replaced: reduce once
+#: the body extensions total at least this many rows.
+FIXED_THRESHOLD = 4096
 
 SCHEMA = DatabaseSchema(
     [
@@ -146,13 +145,12 @@ def _sparse_instance(rows: int, seed: int = 23, fanout: int = 8) -> Database:
     return database
 
 
-def _legacy_evaluator(database: Database) -> QueryEvaluator:
-    """An evaluator on the deprecated fixed-threshold gate of PR 4."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return QueryEvaluator(
-            database, reduction_threshold=DEFAULT_REDUCTION_THRESHOLD
-        )
+def _threshold_evaluator(database: Database) -> QueryEvaluator:
+    """An evaluator forced to the executor the fixed threshold picks for the
+    (acyclic, multi-atom) wide view: the plain program below
+    :data:`FIXED_THRESHOLD` total rows, the reduction at or above it."""
+    strategy = "reduced" if database.total_rows() >= FIXED_THRESHOLD else "program"
+    return QueryEvaluator(database, strategy=strategy)
 
 
 def _best_of(callable_, rounds: int = ROUNDS):
@@ -221,19 +219,19 @@ def test_e18_cost_model_beats_the_fixed_threshold():
     sparse_rows = 500
     dense = _dense_instance(dense_rows)
     sparse = _sparse_instance(sparse_rows)
-    assert dense.total_rows() >= DEFAULT_REDUCTION_THRESHOLD
-    assert sparse.total_rows() < DEFAULT_REDUCTION_THRESHOLD
+    assert dense.total_rows() >= FIXED_THRESHOLD
+    assert sparse.total_rows() < FIXED_THRESHOLD
 
     dense_cost = QueryEvaluator(dense)
     sparse_cost = QueryEvaluator(sparse)
-    dense_legacy = _legacy_evaluator(dense)
-    sparse_legacy = _legacy_evaluator(sparse)
+    dense_fixed = _threshold_evaluator(dense)
+    sparse_fixed = _threshold_evaluator(sparse)
 
     picks = {
         "dense_cost": dense_cost.select_strategy(WIDE_VIEW),
-        "dense_threshold": dense_legacy.select_strategy(WIDE_VIEW),
+        "dense_threshold": dense_fixed.select_strategy(WIDE_VIEW),
         "sparse_cost": sparse_cost.select_strategy(WIDE_VIEW),
-        "sparse_threshold": sparse_legacy.select_strategy(WIDE_VIEW),
+        "sparse_threshold": sparse_fixed.select_strategy(WIDE_VIEW),
     }
 
     # Both pick-directions the fixed threshold gets wrong, pinned:
@@ -278,7 +276,7 @@ def test_e18_cost_model_beats_the_fixed_threshold():
         },
     ]
     report("E18: cost-model picks vs the fixed 4096-row threshold", rows)
-    record_json("e18", rows, reduction_threshold=DEFAULT_REDUCTION_THRESHOLD)
+    record_json("e18", rows, fixed_threshold=FIXED_THRESHOLD)
 
 
 def test_e18_service_traffic_rides_the_warm_prelude():

@@ -82,7 +82,6 @@ from repro.relational.csvio import load_database_json
 from repro.service import CitationService
 
 BACKEND_CHOICES = ("auto", "relational", "union", "temporal")
-STRATEGY_CHOICES = STRATEGIES
 
 
 def _load_engine(args: argparse.Namespace) -> CitationEngine:
@@ -98,7 +97,6 @@ def _load_engine(args: argparse.Namespace) -> CitationEngine:
         policy=policy,
         on_no_rewriting="fallback",
         strategy=getattr(args, "strategy", "auto"),
-        workers=getattr(args, "workers", None),
     )
 
 
@@ -443,16 +441,15 @@ def build_parser() -> argparse.ArgumentParser:
             "--title", default="Cited database", help="database title used by default views"
         )
         sub.add_argument(
-            "--strategy", choices=STRATEGY_CHOICES, default="auto",
-            help="join execution strategy: auto/cost price the semi-join "
+            "--strategy", choices=STRATEGIES, default="auto",
+            help="join execution strategy: auto prices the semi-join "
             "reduction with the statistics-driven cost model (and always "
-            "reuse a warm prelude), program/reduced force one executor, "
-            "parallel forces sharded evaluation across the worker pool",
+            "reuses a warm prelude), program/reduced force one executor",
         )
         sub.add_argument(
             "--workers", type=positive_int, default=None,
-            help="worker count for both the service request pool and "
-            "sharded parallel evaluation (default: bounded CPU-derived)",
+            help="size of the service request pool (default: bounded "
+            "CPU-derived)",
         )
 
     def add_observability_options(sub: argparse.ArgumentParser) -> None:

@@ -1,5 +1,5 @@
-"""Concurrency primitives: worker-pool sizing, fork-based fan-out, and the
-shared-state declarations for the concurrency lint.
+"""Concurrency primitives: worker-pool sizing and the shared-state
+declarations for the concurrency lint.
 
 Classes whose instances are reached from more than one thread declare which
 of their mutable fields are shared and which lock guards them:
@@ -22,133 +22,37 @@ Two escape hatches keep the rule honest rather than noisy: ``__init__`` may
 initialise registered fields before the object is published, and methods whose
 name ends in ``_locked`` document that the caller already holds the lock.
 
-This module deliberately imports nothing from the rest of the package except
-the leaf :mod:`repro.errors` module, so any module — including the query
-layer the analysis passes themselves import — can declare shared state
-without an import cycle.
+This module deliberately imports nothing from the rest of the package, so any
+module — including the query layer the analysis passes themselves import —
+can declare shared state without an import cycle.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-from collections.abc import Callable, Sequence
 from typing import TypeVar
-
-from .errors import WorkerCrashError
 
 _T = TypeVar("_T", bound=type)
 
 #: Attribute set on decorated classes: ``{field_name: lock_attribute_name}``.
 REGISTRY_ATTRIBUTE = "__shared_state__"
 
-#: Upper bound on CPU-derived worker-pool defaults.  Worker threads here are
-#: GIL-bound python work, so past a handful of workers more threads only add
-#: contention; fork-based shard workers past this point thrash the page cache
-#: long before they saturate a bigger machine.
+#: Upper bound on the CPU-derived request-pool default.  Worker threads here
+#: are GIL-bound python work, so past a handful of workers more threads only
+#: add contention.
 MAX_DEFAULT_WORKERS = 8
 
 
 def default_worker_count(cap: int = MAX_DEFAULT_WORKERS) -> int:
-    """CPU-count-derived default size for worker pools, bounded to [2, cap].
+    """CPU-count-derived default size for the request pool, bounded to [2, cap].
 
-    Both the :class:`~repro.service.service.CitationService` request pool and
-    the evaluator's shard worker pool derive their default from this single
-    function, so their combined footprint scales with the machine instead of
-    the two pools oversubscribing each other with unrelated hard-coded
-    defaults.  The floor of 2 keeps batch deadlines meaningful (one straggler
+    Sizes the :class:`~repro.service.service.CitationService` request pool,
+    so its footprint scales with the machine instead of a hard-coded
+    default.  The floor of 2 keeps batch deadlines meaningful (one straggler
     must not serialise a whole batch) even on single-core containers.
     """
     cpus = os.cpu_count() or 1
     return max(2, min(cap, cpus))
-
-
-def fork_map_outcomes(fn: Callable, items: Sequence) -> list[tuple]:
-    """Apply *fn* to every item in a forked child each; report per-item outcomes.
-
-    The process-level escape hatch from the GIL for CPU-bound fan-out:
-    children inherit the parent's heap copy-on-write, so arbitrarily large
-    read-only inputs (relations, indexes, prelude snapshots) are shared for
-    free, and only each call's **return value** travels back to the parent,
-    pickled over a pipe.  ``fn`` may be a closure — it is never pickled,
-    only called in the forked child.
-
-    Children run to completion independently; the parent drains each pipe
-    fully before reaping, in submission order (safe because children never
-    block on each other).  Returns one ``(value, error)`` pair per item:
-    ``(result, None)`` on success, ``(None, exception)`` otherwise.  A child
-    that raises ships the **exception object itself** back (falling back to
-    a ``RuntimeError`` of its ``repr`` when it does not pickle); a child
-    that dies without writing a result — killed, OOM, ``os._exit`` — becomes
-    a :class:`~repro.errors.WorkerCrashError`, which is *transient*: the
-    input shard is intact in the parent, so callers can re-run it in-process
-    (the evaluator's serial-retry degradation path).  POSIX only — callers
-    gate on ``hasattr(os, "fork")``.
-    """
-    children: list[tuple[int, int]] = []
-    for item in items:
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # child: compute, ship the pickle, and _exit — never
-            # return into the parent's stack (atexit/pytest hooks included).
-            os.close(read_fd)
-            status = 0
-            try:
-                payload = pickle.dumps((True, fn(item)), pickle.HIGHEST_PROTOCOL)
-            except BaseException as error:  # noqa: BLE001 - crossing a process boundary
-                status = 1
-                try:
-                    payload = pickle.dumps((False, error), pickle.HIGHEST_PROTOCOL)
-                except Exception:
-                    try:
-                        payload = pickle.dumps(
-                            (False, RuntimeError(repr(error))), pickle.HIGHEST_PROTOCOL
-                        )
-                    except Exception:
-                        payload = b""
-            try:
-                with os.fdopen(write_fd, "wb") as sink:
-                    sink.write(payload)
-            except BaseException:
-                status = 1
-            finally:
-                os._exit(status)
-        os.close(write_fd)
-        children.append((pid, read_fd))
-
-    outcomes: list[tuple] = []
-    for pid, read_fd in children:
-        with os.fdopen(read_fd, "rb") as source:
-            payload = source.read()
-        _, exit_status = os.waitpid(pid, 0)
-        if not payload:
-            code = os.waitstatus_to_exitcode(exit_status)
-            outcomes.append((None, WorkerCrashError(pid, code)))
-            continue
-        ok, value = pickle.loads(payload)
-        if ok:
-            outcomes.append((value, None))
-        elif isinstance(value, BaseException):
-            outcomes.append((None, value))
-        else:
-            outcomes.append((None, RuntimeError(str(value))))
-    return outcomes
-
-
-def fork_map(fn: Callable, items: Sequence) -> list:
-    """Like :func:`fork_map_outcomes`, but all-or-nothing: collect results,
-    or re-raise the first per-item error after all children are reaped."""
-    results = []
-    first_error: BaseException | None = None
-    for value, error in fork_map_outcomes(fn, items):
-        if error is not None:
-            if first_error is None:
-                first_error = error
-        else:
-            results.append(value)
-    if first_error is not None:
-        raise first_error
-    return results
 
 
 def shared_state(*fields: str, lock: str = "_lock"):

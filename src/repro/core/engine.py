@@ -55,7 +55,7 @@ from repro.errors import (
 from repro.observability import NULL_SPAN, get_tracer
 from repro.query.ast import ConjunctiveQuery, Constant, Term, Variable
 from repro.query.compiler import JoinProgram, PreludeCache, ReducedProgram
-from repro.query.evaluator import Binding, QueryEvaluator, Strategy
+from repro.query.evaluator import STRATEGIES, Binding, QueryEvaluator, Strategy
 from repro.query.stats import CostModel, EvaluationMetrics, StatisticsCatalog
 from repro.query.parser import parse_query
 from repro.relational.database import Database
@@ -274,16 +274,13 @@ class CitationEngine:
         strategy: Strategy = "auto",
         analysis: AnalysisMode = "warn",
         verify_plans: VerifyMode | None = None,
-        workers: int | None = None,
-        parallel_backend: str = "thread",
     ) -> None:
         self.database = database
+        if strategy not in STRATEGIES:
+            raise CitationError(
+                f"unknown evaluation strategy {strategy!r}; expected one of {STRATEGIES}"
+            )
         self.strategy: Strategy = strategy
-        #: Shard worker count for parallel evaluation (None = CPU-derived
-        #: default) and the backend running the shards; threaded into the
-        #: persistent evaluator, see ``_execution_evaluator``.
-        self.workers = workers
-        self.parallel_backend = parallel_backend
         self.analysis: AnalysisMode = analysis
         if verify_plans is None:
             verify_plans = type(self).DEFAULT_VERIFY_PLANS
@@ -320,7 +317,7 @@ class CitationEngine:
         # materialised views survive from one request to the next (they are
         # re-validated against the views' identity and version on every probe).
         self._index_manager = IndexManager(database)
-        # Statistics and cost model feeding strategy="auto"/"cost" — reading
+        # Statistics and cost model feeding strategy="auto" — reading
         # off the shared index manager, so pricing a query warms the very
         # indexes its execution probes.  Evaluation metrics aggregate every
         # strategy decision, cost estimate and prelude-cache outcome; the
@@ -380,12 +377,10 @@ class CitationEngine:
         plans held elsewhere are invalidated too.
 
         Besides the views, citation records and view indexes, this clears the
-        statistics catalog and the evaluator's compiled-program, reduction,
-        warm-prelude and shard-partition caches — warmed prelude state
-        attached to plans held elsewhere is dropped lazily the next time the
-        engine executes them (their recorded epoch no longer matches).  The
-        evaluator's shard worker pool survives on purpose: it holds threads,
-        not data, so there is nothing data-derived in it to invalidate.
+        statistics catalog and the evaluator's compiled-program, reduction
+        and warm-prelude caches — warmed prelude state attached to plans held
+        elsewhere is dropped lazily the next time the engine executes them
+        (their recorded epoch no longer matches).
         """
         self._view_relations = None
         self._record_cache.clear()
@@ -835,9 +830,6 @@ class CitationEngine:
                 statistics=self._statistics,
                 cost_model=self._cost_model,
                 metrics=self.evaluation_metrics,
-                workers=self.workers,
-                parallel_backend=self.parallel_backend,  # type: ignore[arg-type]
-                verify_partitions=self.verify_plans == "strict",
             )
             self._evaluator = evaluator
         else:

@@ -84,8 +84,6 @@ __all__ = [
     "reduce_program",
     "join_forest",
     "is_acyclic",
-    "shard_key_positions",
-    "partition_driving_rows",
 ]
 
 
@@ -193,44 +191,12 @@ class JoinProgram:
         """Number of variable slots in an execution frame."""
         return len(self.variables)
 
-    def driving_rows(
-        self,
-        relations: Mapping[str, Relation],
-        index_manager: IndexManager | None = None,
-        use_indexes: bool = True,
-    ) -> list[tuple]:
-        """Resolve the row source of the driving (depth-0) step once.
-
-        At depth 0 the probe key is frame-independent — every bound slot was
-        filled by the seed — so the rows the driving step iterates are a fixed
-        list: the full extension, or one index bucket / filtering scan for a
-        constant-seeded key.  Sharded execution resolves this list centrally,
-        partitions it, and hands each worker its slice via the
-        ``driving_rows`` override of :meth:`run_frames`.
-        """
-        step = self.steps[0]
-        relation = relations[step.predicate]
-        if not step.key_positions:
-            return list(relation)
-        frame: list = [None] * len(self.variables)
-        for slot, value in self.seed:
-            frame[slot] = value
-        key = tuple(
-            value if slot is None else frame[slot]
-            for slot, value in zip(step.key_slots, step.key_values)
-        )
-        if use_indexes and index_manager is not None:
-            index = index_manager.index_for(step.predicate, relation, step.key_positions)
-            return list(index.get(key))
-        return list(relation.rows_matching(dict(zip(step.key_positions, key))))
-
     def run_frames(
         self,
         relations: Mapping[str, Relation],
         index_manager: IndexManager | None = None,
         use_indexes: bool = True,
         profile: JoinProfile | None = None,
-        driving_rows: Sequence[tuple] | None = None,
         cancel: Callable[[], None] | None = None,
     ) -> Iterator[tuple]:
         """Yield every satisfying frame (tuple of slot values, aligned with
@@ -240,13 +206,6 @@ class JoinProgram:
         fills the per-step counters (see :class:`JoinProfile`) — the plain
         path below stays counter-free.
 
-        With *driving_rows*, the depth-0 step iterates exactly the supplied
-        rows instead of resolving its own source: the sharded-execution seam.
-        The caller is responsible for the rows being a subset of what the
-        step would have resolved (see :meth:`driving_rows`); every other
-        check (writes, post-checks, deeper probes) still applies, so a
-        partition of the resolved rows yields a partition of the frames.
-
         With *cancel* (a zero-arg callable, typically
         :meth:`Deadline.checker <repro.resilience.deadline.Deadline.checker>`),
         every scanned row is a cancellation checkpoint: the callable raises
@@ -255,7 +214,7 @@ class JoinProgram:
         """
         if profile is not None:
             yield from self._run_frames_profiled(
-                relations, index_manager, use_indexes, profile, driving_rows, cancel
+                relations, index_manager, use_indexes, profile, cancel
             )
             return
         frame: list = [None] * len(self.variables)
@@ -281,9 +240,7 @@ class JoinProgram:
                 return
             entry = plan[depth]
             step, relation, index, key_pairs = entry
-            if depth == 0 and driving_rows is not None:
-                rows = driving_rows
-            elif step.key_positions:
+            if step.key_positions:
                 key = tuple(
                     value if slot is None else frame[slot]
                     for slot, value in key_pairs
@@ -320,7 +277,6 @@ class JoinProgram:
         index_manager: IndexManager | None,
         use_indexes: bool,
         profile: JoinProfile,
-        driving_rows: Sequence[tuple] | None = None,
         cancel: Callable[[], None] | None = None,
     ) -> Iterator[tuple]:
         """The counting mirror of :meth:`run_frames`'s descend loop."""
@@ -347,9 +303,7 @@ class JoinProgram:
                 return
             entry = plan[depth]
             step, relation, index, key_pairs = entry
-            if depth == 0 and driving_rows is not None:
-                rows = driving_rows
-            elif step.key_positions:
+            if step.key_positions:
                 key = tuple(
                     value if slot is None else frame[slot]
                     for slot, value in key_pairs
@@ -856,37 +810,12 @@ class ReducedProgram:
                 plan.append((step, "map", buckets, key_pairs))
         return plan
 
-    def driving_rows_from_plan(self, plan: list[tuple]) -> list[tuple]:
-        """Resolve the depth-0 row source of a prepared execution plan.
-
-        The reduced-program counterpart of :meth:`JoinProgram.driving_rows`:
-        the driving step's probe key is frame-independent (seed-filled slots
-        only), so its rows — post-prelude candidates, an index bucket, or a
-        filtering scan — are a fixed list the sharded driver can partition.
-        """
-        step, kind, source, key_pairs = plan[0]
-        if kind == "all":
-            return list(source)
-        frame: list = [None] * self.program.slot_count
-        for slot, value in self.program.seed:
-            frame[slot] = value
-        key = tuple(
-            value if slot is None else frame[slot] for slot, value in key_pairs
-        )
-        if kind == "map":
-            return list(source.get(key, ()))
-        return list(source.rows_matching(dict(zip(step.key_positions, key))))
-
     def _frames(
-        self,
-        plan: list[tuple],
-        driving_rows: Sequence[tuple] | None = None,
-        cancel: Callable[[], None] | None = None,
+        self, plan: list[tuple], cancel: Callable[[], None] | None = None
     ) -> Iterator[tuple]:
         """Run the nested-loop join over prepared row sources.
 
         The descend loop mirrors JoinProgram.run_frames — fix both together.
-        *driving_rows* overrides the depth-0 row source (sharded execution);
         *cancel* makes every scanned row a cancellation checkpoint; see
         :meth:`JoinProgram.run_frames`.
         """
@@ -901,9 +830,7 @@ class ReducedProgram:
                 yield tuple(frame)
                 return
             step, kind, source, key_pairs = plan[depth]
-            if depth == 0 and driving_rows is not None:
-                rows = driving_rows
-            elif kind == "all":
+            if kind == "all":
                 rows = source
             else:
                 key = tuple(
@@ -933,7 +860,6 @@ class ReducedProgram:
         self,
         plan: list[tuple],
         profile: JoinProfile,
-        driving_rows: Sequence[tuple] | None = None,
         cancel: Callable[[], None] | None = None,
     ) -> Iterator[tuple]:
         """The counting mirror of :meth:`_frames` (same descend loop)."""
@@ -951,9 +877,7 @@ class ReducedProgram:
                 yield tuple(frame)
                 return
             step, kind, source, key_pairs = plan[depth]
-            if depth == 0 and driving_rows is not None:
-                rows = driving_rows
-            elif kind == "all":
+            if kind == "all":
                 rows = source
             else:
                 key = tuple(
@@ -994,59 +918,6 @@ class ReducedProgram:
             rows = candidates[position]
             profile.rows_in[position] = size if rows is None else len(rows)
 
-    def prepared_plan(
-        self,
-        relations: Mapping[str, Relation],
-        index_manager: IndexManager | None = None,
-        use_indexes: bool = True,
-        prelude: "PreludeCache | None" = None,
-        profile: JoinProfile | None = None,
-        cancel: Callable[[], None] | None = None,
-    ) -> list[tuple] | None:
-        """Run (or serve from *prelude*) the reduction and prepare row sources.
-
-        Returns the execution plan :meth:`_frames` consumes, or ``None`` when
-        the prelude proved the query has no answers.  Extracted from
-        :meth:`run_frames` so sharded execution can prepare the prelude
-        exactly once in the parent and broadcast the plan read-only to every
-        shard worker.  With a *profile*, fills its prelude outcome, emptiness
-        and per-step input counters.  *cancel* checkpoints the prelude
-        passes (see :meth:`reduce_relations`).
-        """
-        probe = use_indexes and index_manager is not None
-        if prelude is not None and prelude.reduced is self:
-            hits_before = prelude.hits
-            snapshot = prelude.refresh(relations, index_manager, use_indexes, cancel)
-            if profile is not None:
-                profile.prelude = "hit" if prelude.hits > hits_before else "miss"
-            if snapshot.empty:
-                if profile is not None:
-                    profile.empty = True
-                return None
-            plan = snapshot.plan if snapshot.plan_probe == probe else None
-            if plan is None:
-                plan = self._execution_plan(
-                    snapshot.candidates, relations, index_manager, probe
-                )
-                snapshot.plan = plan
-                snapshot.plan_probe = probe
-            if profile is not None:
-                self._fill_profile_inputs(profile, snapshot.candidates, relations)
-            return plan
-        if profile is not None:
-            profile.prelude = "cold"
-        candidates = self.reduce_relations(
-            relations, index_manager, use_indexes, cancel=cancel
-        )
-        if candidates is None:
-            if profile is not None:
-                profile.empty = True
-            return None
-        plan = self._execution_plan(candidates, relations, index_manager, probe)
-        if profile is not None:
-            self._fill_profile_inputs(profile, candidates, relations)
-        return plan
-
     def run_frames(
         self,
         relations: Mapping[str, Relation],
@@ -1054,7 +925,6 @@ class ReducedProgram:
         use_indexes: bool = True,
         prelude: "PreludeCache | None" = None,
         profile: JoinProfile | None = None,
-        driving_rows: Sequence[tuple] | None = None,
         cancel: Callable[[], None] | None = None,
     ) -> Iterator[tuple]:
         """Yield every satisfying frame (same frames as the plain program).
@@ -1070,21 +940,43 @@ class ReducedProgram:
         (``hit``/``miss`` under a cache, ``cold`` without one); the plain
         path stays counter-free.
 
-        With *driving_rows*, the depth-0 step iterates exactly the supplied
-        rows (sharded execution; see :meth:`JoinProgram.run_frames`).
-
         With *cancel*, prelude passes and scanned rows become cancellation
         checkpoints (see :meth:`JoinProgram.run_frames`).
         """
-        plan = self.prepared_plan(
-            relations, index_manager, use_indexes, prelude, profile, cancel
-        )
-        if plan is None:
-            return
+        probe = use_indexes and index_manager is not None
+        if prelude is not None and prelude.reduced is self:
+            hits_before = prelude.hits
+            snapshot = prelude.refresh(relations, index_manager, use_indexes, cancel)
+            if profile is not None:
+                profile.prelude = "hit" if prelude.hits > hits_before else "miss"
+            if snapshot.empty:
+                if profile is not None:
+                    profile.empty = True
+                return
+            plan = snapshot.plan if snapshot.plan_probe == probe else None
+            if plan is None:
+                plan = self._execution_plan(
+                    snapshot.candidates, relations, index_manager, probe
+                )
+                snapshot.plan = plan
+                snapshot.plan_probe = probe
+            candidates = snapshot.candidates
+        else:
+            if profile is not None:
+                profile.prelude = "cold"
+            candidates = self.reduce_relations(
+                relations, index_manager, use_indexes, cancel=cancel
+            )
+            if candidates is None:
+                if profile is not None:
+                    profile.empty = True
+                return
+            plan = self._execution_plan(candidates, relations, index_manager, probe)
         if profile is not None:
-            yield from self._frames_profiled(plan, profile, driving_rows, cancel)
+            self._fill_profile_inputs(profile, candidates, relations)
+            yield from self._frames_profiled(plan, profile, cancel)
             return
-        yield from self._frames(plan, driving_rows, cancel)
+        yield from self._frames(plan, cancel)
 
     def output_row(self, frame: tuple) -> tuple:
         """Project one frame onto the query's head terms."""
@@ -1208,61 +1100,6 @@ def reduce_program(program: JoinProgram) -> ReducedProgram:
         reductions=reductions,
         subtrees=subtrees,
     )
-
-
-# ---------------------------------------------------------------------------
-# Shard planning for parallel execution
-# ---------------------------------------------------------------------------
-def shard_key_positions(program: JoinProgram) -> tuple[int, ...]:
-    """The driving-step positions whose values pick a row's shard.
-
-    Sharding partitions the depth-0 row source by **join-key hash**: the
-    positions chosen are the driving step's writes whose slots some later
-    step's probe key consumes — rows agreeing on them probe the same
-    downstream buckets, so a shard keeps key locality.  When no later step
-    probes a driving write (e.g. a pure cartesian driver), every write
-    position is used; an empty tuple means "hash the whole row" (degenerate
-    driving steps with no writes at all).
-    """
-    steps = program.steps
-    consumed = {
-        slot
-        for later in steps[1:]
-        for slot in later.key_slots
-        if slot is not None
-    }
-    driving = steps[0]
-    positions = tuple(p for p, slot in driving.writes if slot in consumed)
-    if not positions:
-        positions = tuple(p for p, _slot in driving.writes)
-    return positions
-
-
-def partition_driving_rows(
-    rows: Sequence[tuple],
-    key_positions: tuple[int, ...],
-    shard_count: int,
-) -> list[list[tuple]]:
-    """Split *rows* into *shard_count* disjoint lists by join-key hash.
-
-    Every row lands in exactly one part (``hash(key) % shard_count``), so the
-    union of the per-part frame sets of a join program equals the unsharded
-    frame set exactly — each frame descends from exactly one driving row.
-    With empty *key_positions* the whole row is the key.  The partition is a
-    pure function of the rows, so it can be cached alongside prelude state
-    and is checkable after the fact (rule I008,
-    :func:`repro.analysis.ir.verify_shard_partition`).
-    """
-    if shard_count < 1:
-        raise ValueError(f"shard_count must be >= 1, got {shard_count}")
-    parts: list[list[tuple]] = [[] for _ in range(shard_count)]
-    if key_positions:
-        for row in rows:
-            parts[hash(tuple(row[p] for p in key_positions)) % shard_count].append(row)
-    else:
-        for row in rows:
-            parts[hash(row) % shard_count].append(row)
-    return parts
 
 
 # ---------------------------------------------------------------------------

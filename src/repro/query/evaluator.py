@@ -26,34 +26,15 @@ The evaluator has a **strategy knob** for how a program is executed:
   (:func:`~repro.query.compiler.reduce_program`): a Yannakakis bottom-up /
   top-down pass over the join tree for acyclic queries, plus sideways
   information passing for every query;
-* ``"cost"`` — for α-acyclic multi-atom queries, ask the statistics-driven
-  :class:`~repro.query.stats.CostModel` whether the prelude's expected
-  dangling-tuple savings beat its linear passes; run whatever it picks;
-* ``"auto"`` (the default) — same as ``"cost"``, unless the evaluator was
-  constructed with an explicit ``reduction_threshold`` (deprecated), in
-  which case the legacy total-cardinality gate applies instead;
-* ``"parallel"`` — resolve the executor like ``"auto"``, then force
-  **sharded execution**: the driving step's resolved row source is
-  partitioned by join-key hash into one slice per worker
-  (:func:`~repro.query.compiler.partition_driving_rows`), the identical
-  compiled program runs once per shard with the ``driving_rows`` override,
-  and the per-shard frame sets are merged (exact — each frame descends from
-  exactly one driving row).  The semi-join prelude is prepared **once** in
-  the calling thread and broadcast read-only to every shard.
+* ``"auto"`` (the default) — for α-acyclic multi-atom queries, ask the
+  statistics-driven :class:`~repro.query.stats.CostModel` whether the
+  prelude's expected dangling-tuple savings beat its linear passes; run
+  whatever it picks.  A query whose warm
+  :class:`~repro.query.compiler.PreludeCache` is current always runs reduced
+  — the prelude costs nothing, so the cost model is only consulted cold.
 
-Under ``"auto"``/``"cost"`` the evaluator also *considers* sharding after
-resolving the executor: :meth:`~repro.query.stats.CostModel.parallel_estimate`
-prices the divided join work against per-worker setup and the partition
-pass, so small inputs stay serial (shard setup is not free) and only
-genuinely scan-dominated evaluations fan out.  Workers default to a bounded
-CPU-derived count (:func:`repro.concurrency.default_worker_count`); the
-backend is a shared thread pool by default, or forked child processes
-(``parallel_backend="fork"``, POSIX) for CPU-bound joins that the GIL would
-otherwise serialise.
-
-Under ``"auto"``/``"cost"`` a query whose warm
-:class:`~repro.query.compiler.PreludeCache` is current always runs reduced —
-the prelude costs nothing, so the cost model is only consulted cold.
+Every evaluation runs serially in the calling thread; the service layer's
+request pool is where concurrency lives.
 
 All strategies produce identical answers and binding sets — the reduction
 only removes rows that cannot contribute — which the differential property
@@ -63,19 +44,15 @@ suites (``tests/property/test_strategy_equivalence.py`` and
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-import warnings
 from collections.abc import Iterator, Mapping
-from concurrent.futures import ThreadPoolExecutor
 from typing import Literal
 
-from repro.concurrency import default_worker_count, fork_map_outcomes, shared_state
-from repro.errors import QueryError, UnknownRelationError, WorkerCrashError
+from repro.concurrency import shared_state
+from repro.errors import QueryError, UnknownRelationError
 from repro.observability import NULL_SPAN, current_fingerprint, get_tracer
-from repro.resilience import faults
-from repro.resilience.deadline import Deadline, current_deadline
+from repro.resilience.deadline import current_deadline
 from repro.query.ast import ConjunctiveQuery, Constant, Term, Variable
 from repro.query.compiler import (
     JoinProfile,
@@ -83,15 +60,12 @@ from repro.query.compiler import (
     PreludeCache,
     ReducedProgram,
     compile_query,
-    partition_driving_rows,
     reduce_program,
-    shard_key_positions,
 )
 from repro.query.stats import (
     CostEstimate,
     CostModel,
     EvaluationMetrics,
-    ParallelEstimate,
     StatisticsCatalog,
 )
 from repro.relational.database import Database
@@ -101,26 +75,12 @@ from repro.relational.schema import Attribute, RelationSchema
 
 Binding = dict[Variable, object]
 
-Strategy = Literal["auto", "program", "reduced", "cost", "parallel"]
+Strategy = Literal["auto", "program", "reduced"]
 
-STRATEGIES: tuple[Strategy, ...] = ("auto", "program", "reduced", "cost", "parallel")
-
-ParallelBackend = Literal["thread", "fork"]
-
-PARALLEL_BACKENDS: tuple[ParallelBackend, ...] = ("thread", "fork")
-
-#: The legacy ``strategy="auto"`` gate: the smallest total body-extension
-#: cardinality for which the reduction prelude was presumed worth its linear
-#: passes.  **Deprecated** — a fixed row count is wrong in both directions
-#: (densely joining large instances pay the prelude for nothing; sparse
-#: small ones are denied a win) — and kept only so callers that pass an
-#: explicit ``reduction_threshold`` keep their old behaviour.  The default
-#: path prices the decision with :class:`~repro.query.stats.CostModel`.
-DEFAULT_REDUCTION_THRESHOLD = 4096
+STRATEGIES: tuple[Strategy, ...] = ("auto", "program", "reduced")
 
 
-@shared_state("_programs", "_reduced", "_preludes", "_shard_parts", lock="_cache_lock")
-@shared_state("_shard_pool", lock="_pool_lock")
+@shared_state("_programs", "_reduced", "_preludes", lock="_cache_lock")
 class QueryEvaluator:
     """Evaluates conjunctive queries against a :class:`Database`.
 
@@ -134,9 +94,6 @@ class QueryEvaluator:
     (the engine threads one :class:`~repro.query.stats.StatisticsCatalog`
     and one :class:`~repro.query.stats.EvaluationMetrics` through every
     evaluator it builds).
-
-    Passing *reduction_threshold* is **deprecated**: it re-enables the old
-    blunt cardinality gate for ``strategy="auto"`` instead of the cost model.
     """
 
     #: Default soft cap on cached query entries (programs, reductions,
@@ -154,39 +111,19 @@ class QueryEvaluator:
         use_indexes: bool = True,
         index_manager: IndexManager | None = None,
         strategy: Strategy = "auto",
-        reduction_threshold: int | None = None,
         statistics: StatisticsCatalog | None = None,
         cost_model: CostModel | None = None,
         metrics: EvaluationMetrics | None = None,
         max_cached_queries: int = DEFAULT_MAX_CACHED_QUERIES,
-        workers: int | None = None,
-        parallel_backend: ParallelBackend = "thread",
-        verify_partitions: bool = False,
     ) -> None:
         if strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown evaluation strategy {strategy!r}; expected one of {STRATEGIES}"
             )
-        if parallel_backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"unknown parallel backend {parallel_backend!r}; "
-                f"expected one of {PARALLEL_BACKENDS}"
-            )
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if reduction_threshold is not None:
-            warnings.warn(
-                "reduction_threshold is deprecated: strategy='auto' now consults "
-                "the statistics-driven cost model (repro.query.stats.CostModel); "
-                "drop the argument, or force a strategy explicitly",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.database = database
         self.extra_relations = dict(extra_relations or {})
         self.use_indexes = use_indexes
         self.strategy: Strategy = strategy
-        self.reduction_threshold = reduction_threshold
         # Not `or`: an IndexManager with no entries yet is len() == 0, falsy.
         self.index_manager = (
             index_manager if index_manager is not None else IndexManager(database)
@@ -197,20 +134,6 @@ class QueryEvaluator:
         self.cost_model = cost_model if cost_model is not None else CostModel(self.statistics)
         self.metrics = metrics
         self.max_cached_queries = max_cached_queries
-        #: Shard worker count.  Defaults to the same bounded CPU-derived
-        #: count the service request pool uses, so the two pools scale
-        #: together instead of oversubscribing each other.
-        self.workers = workers if workers is not None else default_worker_count()
-        # "fork" needs os.fork (POSIX); degrade to the thread backend rather
-        # than failing at evaluation time on platforms without it.
-        if parallel_backend == "fork" and not hasattr(os, "fork"):
-            parallel_backend = "thread"
-        self.parallel_backend: ParallelBackend = parallel_backend
-        #: When set, every freshly computed shard partition is checked against
-        #: the I008 rule (exact multiset cover, hash-correct routing) and a
-        #: violation raises :class:`~repro.errors.PlanVerificationError` — the
-        #: runtime leg of ``verify_plans="strict"`` for sharded execution.
-        self.verify_partitions = verify_partitions
         # The engine shares one evaluator across cite_many's thread pool, so
         # the query-keyed caches are guarded: the FIFO eviction below
         # (iterate + pop) and the identity-pairing stores race destructively
@@ -221,17 +144,6 @@ class QueryEvaluator:
         self._programs: dict[ConjunctiveQuery, JoinProgram] = {}
         self._reduced: dict[ConjunctiveQuery, ReducedProgram] = {}
         self._preludes: dict[ConjunctiveQuery, PreludeCache] = {}
-        # query -> (source token, version, key positions, shard count, parts):
-        # the cached hash-partition of the driving row source, stamped by the
-        # identity of what produced the rows (the prepared plan for reduced
-        # runs, the driving relation + version for plain ones), so warm
-        # sharded traffic skips the per-row partition pass entirely.
-        self._shard_parts: dict[ConjunctiveQuery, tuple] = {}
-        # The shard pool is created lazily (serial evaluators never pay for
-        # it) and holds no query- or data-derived state — invalidate_caches
-        # deliberately leaves it alone.
-        self._pool_lock = threading.Lock()
-        self._shard_pool: ThreadPoolExecutor | None = None
 
     def _bound_locked(self, cache: dict) -> None:
         """Evict oldest entries beyond :attr:`max_cached_queries` (FIFO).
@@ -334,57 +246,25 @@ class QueryEvaluator:
                 self._bound_locked(self._programs)
         return program
 
-    # -- worker pool ---------------------------------------------------------
-    def _worker_pool(self) -> ThreadPoolExecutor:
-        """The lazily created shard pool (shared across evaluations)."""
-        with self._pool_lock:
-            if self._shard_pool is None:
-                self._shard_pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="repro-shard"
-                )
-            return self._shard_pool
-
-    def close(self) -> None:
-        """Shut down the shard worker pool (idempotent).
-
-        Only the pool dies: the evaluator itself stays usable — serial
-        evaluation needs no pool, and the next sharded evaluation simply
-        recreates one.
-        """
-        with self._pool_lock:
-            pool, self._shard_pool = self._shard_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
     # -- cache control -------------------------------------------------------
     def invalidate_caches(self) -> None:
-        """Drop compiled programs, reductions, warm preludes, cached shard
-        partitions and statistics.
+        """Drop compiled programs, reductions, warm preludes and statistics.
 
         Programs and reductions are pure description and never go stale —
         this exists for forced invalidation
         (:meth:`~repro.core.engine.CitationEngine.invalidate_caches`) and for
-        benchmarks that want a guaranteed cold run.  The shard worker pool is
-        deliberately **not** touched: it holds threads, not data, so there is
-        nothing to go stale.
+        benchmarks that want a guaranteed cold run.
         """
         with self._cache_lock:
             self._programs.clear()
             self._reduced.clear()
             self._preludes.clear()
-            self._shard_parts.clear()
         self.statistics.invalidate()
 
     def invalidate_preludes(self) -> None:
-        """Drop only the warm-prelude state (next evaluations run cold).
-
-        Cached shard partitions go with it: a reduced run's partition is
-        stamped by the prelude snapshot's prepared plan, which this
-        invalidates.
-        """
+        """Drop only the warm-prelude state (next evaluations run cold)."""
         with self._cache_lock:
             self._preludes.clear()
-            self._shard_parts.clear()
 
     # -- strategy selection --------------------------------------------------
     def select_strategy(
@@ -392,9 +272,8 @@ class QueryEvaluator:
     ) -> Literal["program", "reduced"]:
         """The executor this evaluator would run *query* with right now.
 
-        ``"program"`` and ``"reduced"`` are themselves; ``"auto"`` / ``"cost"``
-        resolve through the cost model (or the deprecated cardinality gate),
-        so the answer can change as the data drifts.
+        ``"program"`` and ``"reduced"`` are themselves; ``"auto"`` resolves
+        through the cost model, so the answer can change as the data drifts.
         """
         relations = self._resolve_relations(query)
         program = self._program_for(query, relations)
@@ -429,13 +308,8 @@ class QueryEvaluator:
             raise ValueError(
                 f"unknown evaluation strategy {strategy!r}; expected one of {STRATEGIES}"
             )
-        if strategy == "parallel":
-            # "parallel" forces *sharding* (see _shard_decision), not a
-            # particular executor: resolve program-vs-reduced like "auto".
-            strategy = "auto"
         if strategy == "program":
             return self._picked(program, "forced", record)
-        legacy = strategy == "auto" and self.reduction_threshold is not None
         if strategy != "reduced":
             # Single-atom queries never pay for the analysis.  Multi-atom
             # ones do run join_forest + a cost estimate per resolution; both
@@ -445,10 +319,6 @@ class QueryEvaluator:
             # affordable (measured low-microseconds per call).
             if len(program.steps) < 2:
                 return self._picked(program, "single_atom", record)
-            if legacy:
-                total = sum(len(relations[step.predicate]) for step in program.steps)
-                if total < self.reduction_threshold:
-                    return self._picked(program, "threshold", record)
         # The reduction must wrap exactly the program whose slot layout the
         # caller will project frames with — a cached analysis of an older
         # (differently ordered) compile of the same query must not be served.
@@ -463,8 +333,6 @@ class QueryEvaluator:
             return self._picked(reduced, "forced", record)
         if not reduced.acyclic:
             return self._picked(program, "cyclic", record)
-        if legacy:
-            return self._picked(reduced, "threshold", record)
         # Warm state makes the prelude free: always run reduced on a hit.
         warm = prelude if prelude is not None and prelude.reduced is reduced else None
         if warm is None and cache:
@@ -492,316 +360,6 @@ class QueryEvaluator:
             kind = "reduced" if isinstance(executor, ReducedProgram) else "program"
             self.metrics.record_pick(kind, reason)
         return executor, reason, estimate
-
-    # -- shard decision --------------------------------------------------------
-    def _shard_decision(
-        self,
-        query: ConjunctiveQuery,
-        relations: Mapping[str, Relation],
-        program: JoinProgram,
-        executor: JoinProgram | ReducedProgram,
-        strategy: Strategy | None,
-        reason: str,
-        estimate: CostEstimate | None,
-        cache: bool = True,
-        record: bool = True,
-    ) -> tuple[int, str, ParallelEstimate | None]:
-        """Decide how many shards this evaluation runs on (1 = serial).
-
-        Runs *after* executor resolution: ``"parallel"`` forces one shard per
-        worker, ``"program"``/``"reduced"`` stay serial (they are the
-        differential baselines the property suite compares sharded runs
-        against), and ``"auto"``/``"cost"`` ask
-        :meth:`CostModel.parallel_estimate` whether dividing the serial cost
-        across workers beats the shard setup + partition overhead — below
-        that crossover ``auto`` keeps picking serial.
-        """
-        strategy = strategy or self.strategy
-        if self.workers < 2:
-            return self._shards_picked(1, "no_workers", None, record)
-        if len(program.steps) < 2:
-            # A single-atom program is one scan: sharding it ships every row
-            # through a worker boundary for zero join work saved.
-            return self._shards_picked(1, "single_atom", None, record)
-        if strategy in ("program", "reduced"):
-            return self._shards_picked(1, "forced_serial", None, record)
-        if strategy == "parallel":
-            return self._shards_picked(self.workers, "forced", None, record)
-        if reason == "threshold":
-            # Deprecated legacy cardinality gate: keep its exact old
-            # behaviour, which never sharded.
-            return self._shards_picked(1, "legacy_threshold", None, record)
-        if estimate is None:
-            # The executor resolver skipped the serial estimate (warm prelude,
-            # cyclic, forced); price it now — statistics are version-cached,
-            # so this costs a few catalog lookups.
-            reduced = (
-                executor
-                if isinstance(executor, ReducedProgram)
-                else self.reduction_of(query, program)
-                if cache
-                else reduce_program(program)
-            )
-            estimate = self.cost_model.estimate(reduced, relations)
-        if isinstance(executor, ReducedProgram):
-            serial_cost = estimate.reduced_cost
-            if reason == "warm_prelude":
-                # A warm prelude is free; only the join itself divides.
-                serial_cost = max(0.0, serial_cost - estimate.prelude_cost)
-        else:
-            serial_cost = estimate.program_cost
-        driving = len(relations[program.steps[0].predicate])
-        parallel = self.cost_model.parallel_estimate(serial_cost, driving, self.workers)
-        shards = self.workers if parallel.prefers_parallel else 1
-        return self._shards_picked(shards, "cost_model", parallel, record)
-
-    def _shards_picked(
-        self,
-        shards: int,
-        reason: str,
-        estimate: ParallelEstimate | None,
-        record: bool = True,
-    ) -> tuple[int, str, ParallelEstimate | None]:
-        if record and self.metrics is not None:
-            self.metrics.record_shards(shards, reason)
-        return shards, reason, estimate
-
-    # -- sharded execution -----------------------------------------------------
-    def _partition_for(
-        self,
-        query: ConjunctiveQuery,
-        program: JoinProgram,
-        token: object,
-        version: int | None,
-        resolve_rows,
-        key_positions: tuple[int, ...],
-        shards: int,
-        cache: bool,
-    ) -> list[list[tuple]]:
-        """The cached hash-partition of the driving rows (recomputed on drift).
-
-        *token*/*version* stamp what produced the rows: the prepared plan
-        object for reduced runs (replaced whenever any participating relation
-        drifts), the driving relation and its version for plain ones.  On a
-        stamp hit the per-row partition pass is skipped entirely — the warm
-        sharded path then costs only the fan-out itself.  *resolve_rows* is
-        called only on a miss; under :attr:`verify_partitions` every fresh
-        partition must pass the I008 verifier before it is cached or run.
-        """
-        if cache:
-            with self._cache_lock:
-                entry = self._shard_parts.get(query)
-            if entry is not None:
-                held_token, held_version, held_positions, held_shards, parts = entry
-                if (
-                    held_token is token
-                    and held_version == version
-                    and held_positions == key_positions
-                    and held_shards == shards
-                ):
-                    return parts
-        rows = resolve_rows()
-        parts = partition_driving_rows(rows, key_positions, shards)
-        if self.verify_partitions:
-            # Lazy import: repro.analysis pulls in rule modules that import
-            # the query layer, so a module-level import here would cycle.
-            from repro.analysis.ir import verify_shard_partition
-            from repro.errors import PlanVerificationError
-
-            report = verify_shard_partition(program, key_positions, parts, rows)
-            if report.has_errors:
-                raise PlanVerificationError(
-                    f"shard partition for {query.name!r} failed verification: "
-                    + "; ".join(str(d) for d in report.errors),
-                    report.errors,
-                )
-        if cache:
-            with self._cache_lock:
-                self._shard_parts[query] = (token, version, key_positions, shards, parts)
-                self._bound_locked(self._shard_parts)
-        return parts
-
-    def _run_sharded(
-        self,
-        executor: JoinProgram | ReducedProgram,
-        relations: Mapping[str, Relation],
-        query: ConjunctiveQuery,
-        prelude: PreludeCache | None,
-        shards: int,
-        cache: bool = True,
-        profile: JoinProfile | None = None,
-        span=NULL_SPAN,
-        deadline: Deadline | None = None,
-    ) -> list[tuple]:
-        """Run one evaluation sharded; return the merged frame list.
-
-        The prelude (for reduced executors) runs exactly once here, in the
-        calling thread; workers receive the prepared plan read-only plus
-        their disjoint slice of the driving rows.  Per-shard timings and row
-        counts land on *span* as ``shard`` children; per-shard profiles are
-        merged into *profile* so the evaluation span's per-step counters
-        equal the serial run's.
-
-        With a *deadline*, the prelude and every shard poll it at their
-        cancellation checkpoints (each shard builds its own rate-limited
-        checker — the absolute monotonic expiry is fork-safe, a counting
-        closure is not shareable).  A fork shard that **crashes** (rather
-        than raises) is retried serially in-process on its intact row slice
-        — degradation, counted in :attr:`metrics` and on *span*, instead of
-        a failed evaluation.
-        """
-        program = executor.program if isinstance(executor, ReducedProgram) else executor
-        key_positions = shard_key_positions(program)
-        parent_cancel = deadline.checker("prelude") if deadline is not None else None
-        plan: list[tuple] | None = None
-        if isinstance(executor, ReducedProgram):
-            if prelude is None or prelude.reduced is not executor:
-                prelude = self.prelude_for(query, executor) if cache else None
-            plan = executor.prepared_plan(
-                relations, self.index_manager, self.use_indexes, prelude, profile,
-                parent_cancel,
-            )
-            if plan is None:  # prelude proved emptiness; nothing to fan out
-                return []
-            parts = self._partition_for(
-                query, program, plan, None,
-                lambda: executor.driving_rows_from_plan(plan),
-                key_positions, shards, cache,
-            )
-        else:
-            driving_relation = relations[program.steps[0].predicate]
-            parts = self._partition_for(
-                query, program, driving_relation, driving_relation.version,
-                lambda: program.driving_rows(
-                    relations, self.index_manager, self.use_indexes
-                ),
-                key_positions, shards, cache,
-            )
-            if self.use_indexes and self.index_manager is not None:
-                # Resolve downstream probe indexes once in the parent: thread
-                # workers then share them contention-free, fork workers
-                # inherit them warm copy-on-write instead of each rebuilding.
-                for step in program.steps[1:]:
-                    if step.key_positions:
-                        self.index_manager.index_for(
-                            step.predicate,
-                            relations[step.predicate],
-                            step.key_positions,
-                        )
-
-        profiled = profile is not None
-
-        def run_shard(task: tuple[int, list[tuple]]):
-            shard_index, part = task
-            faults.fire("shard.execute", key=shard_index)
-            cancel = deadline.checker("shard") if deadline is not None else None
-            started = time.perf_counter()
-            shard_profile = JoinProfile(len(program.steps)) if profiled else None
-            if isinstance(executor, ReducedProgram):
-                if shard_profile is not None:
-                    frames = list(
-                        executor._frames_profiled(plan, shard_profile, part, cancel)
-                    )
-                else:
-                    frames = list(executor._frames(plan, part, cancel))
-            else:
-                frames = list(
-                    executor.run_frames(
-                        relations,
-                        self.index_manager,
-                        self.use_indexes,
-                        profile=shard_profile,
-                        driving_rows=part,
-                        cancel=cancel,
-                    )
-                )
-            return frames, time.perf_counter() - started, shard_profile
-
-        tasks = [(index, part) for index, part in enumerate(parts) if part]
-        if not tasks:
-            return []
-        retried_serially = 0
-        if len(tasks) == 1:
-            outcomes = [run_shard(tasks[0])]
-        elif self.parallel_backend == "fork":
-
-            def run_shard_forked(task: tuple[int, list[tuple]]):
-                # Runs in the forked child: the fault registry was inherited
-                # copy-on-write, so a "fork.child" spec armed in the parent
-                # (e.g. os._exit) trips here and kills this child only.
-                faults.fire("fork.child", key=task[0])
-                return run_shard(task)
-
-            outcomes = []
-            for task, (value, error) in zip(
-                tasks, fork_map_outcomes(run_shard_forked, tasks)
-            ):
-                if error is None:
-                    outcomes.append(value)
-                    continue
-                if not isinstance(error, WorkerCrashError):
-                    # A real exception from the child (DeadlineExceeded,
-                    # QueryError, ...) is the evaluation's answer — re-raise.
-                    raise error
-                # The child died without reporting; its row slice is intact
-                # in this process, so degrade: re-run the shard serially.
-                retried_serially += 1
-                if profiled:
-                    span.child(
-                        "shard.retry", index=task[0], pid=error.pid,
-                        status=error.status,
-                    )
-                outcomes.append(run_shard(task))
-            if retried_serially and self.metrics is not None:
-                self.metrics.record_degraded_retry(retried_serially)
-        else:
-            pool = self._worker_pool()
-            outcomes = [
-                future.result()
-                for future in [pool.submit(run_shard, task) for task in tasks]
-            ]
-
-        frames: list[tuple] = []
-        for (shard_index, part), (shard_frames, elapsed, shard_profile) in zip(
-            tasks, outcomes
-        ):
-            frames.extend(shard_frames)
-            if profiled:
-                span.child(
-                    "shard",
-                    index=shard_index,
-                    rows=len(part),
-                    frames=len(shard_frames),
-                    elapsed_ms=round(elapsed * 1000.0, 3),
-                )
-                self._merge_shard_profile(profile, shard_profile, executor)
-        if profiled:
-            span.set_attribute("shards", len(tasks))
-            if retried_serially:
-                span.set_attribute("degraded_retries", retried_serially)
-        return frames
-
-    @staticmethod
-    def _merge_shard_profile(
-        profile: JoinProfile,
-        shard_profile: JoinProfile,
-        executor: JoinProgram | ReducedProgram,
-    ) -> None:
-        """Fold one shard's counters into the evaluation's profile.
-
-        Scanned rows, surviving frames and results are additive across the
-        disjoint shards.  The per-step input sizes are identical in every
-        shard (full extensions for a plain program), so for plain executors
-        they are copied from the shard; reduced executors had them filled
-        centrally by ``prepared_plan``.
-        """
-        for position in range(profile.step_count):
-            profile.rows_scanned[position] += shard_profile.rows_scanned[position]
-            profile.frames_out[position] += shard_profile.frames_out[position]
-        profile.results += shard_profile.results
-        if not isinstance(executor, ReducedProgram):
-            profile.relation_rows = list(shard_profile.relation_rows)
-            profile.rows_in = list(shard_profile.rows_in)
 
     # -- core join ------------------------------------------------------------
     def _frames_for(
@@ -866,15 +424,6 @@ class QueryEvaluator:
         return span, JoinProfile(len(steps))
 
     @staticmethod
-    def _annotate_shard_decision(
-        span, shard_reason: str, parallel: ParallelEstimate | None
-    ) -> None:
-        """Record why this evaluation sharded (or stayed serial) on its span."""
-        span.set_attribute("shard_decision", shard_reason)
-        if parallel is not None:
-            span.set_attribute("parallel_estimate", parallel.as_dict())
-
-    @staticmethod
     def _annotate_span(
         span,
         executor: JoinProgram | ReducedProgram,
@@ -925,20 +474,11 @@ class QueryEvaluator:
         executor, reason, estimate = self._executor(
             query, relations, program, reduced, strategy, prelude=prelude
         )
-        shards, _shard_reason, _parallel = self._shard_decision(
-            query, relations, program, executor, strategy, reason, estimate
-        )
         variables = program.variables
-        if shards > 1:
-            frames: Iterator[tuple] | list[tuple] = self._run_sharded(
-                executor, relations, query, prelude, shards, deadline=deadline
-            )
-        else:
-            cancel = deadline.checker("join") if deadline is not None else None
-            frames = self._frames_for(
-                executor, relations, query, prelude, cancel=cancel
-            )
-        for frame in frames:
+        cancel = deadline.checker("join") if deadline is not None else None
+        for frame in self._frames_for(
+            executor, relations, query, prelude, cancel=cancel
+        ):
             yield dict(zip(variables, frame))
 
     # -- public API -------------------------------------------------------------
@@ -981,38 +521,22 @@ class QueryEvaluator:
         executor, reason, estimate = self._executor(
             query, relations, program, None, strategy, cache=cache_program
         )
-        shards, shard_reason, parallel = self._shard_decision(
-            query, relations, program, executor, strategy, reason, estimate,
-            cache=cache_program,
-        )
         kind = "reduced" if isinstance(executor, ReducedProgram) else "program"
         span, profile = self._evaluation_span(
             query, executor, kind, reason, strategy, estimate
         )
         timed = self.metrics is not None or profile is not None
         output_row = program.output_row
+        cancel = deadline.checker("join") if deadline is not None else None
         with span:
-            if profile is not None:
-                self._annotate_shard_decision(span, shard_reason, parallel)
             started = time.perf_counter() if timed else 0.0
-            if shards > 1:
-                answers = {
-                    output_row(frame)
-                    for frame in self._run_sharded(
-                        executor, relations, query, None, shards,
-                        cache=cache_program, profile=profile, span=span,
-                        deadline=deadline,
-                    )
-                }
-            else:
-                cancel = deadline.checker("join") if deadline is not None else None
-                answers = {
-                    output_row(frame)
-                    for frame in self._frames_for(
-                        executor, relations, query, None, cache=cache_program,
-                        profile=profile, cancel=cancel,
-                    )
-                }
+            answers = {
+                output_row(frame)
+                for frame in self._frames_for(
+                    executor, relations, query, None, cache=cache_program,
+                    profile=profile, cancel=cancel,
+                )
+            }
             elapsed = time.perf_counter() - started if timed else 0.0
             if profile is not None:
                 span.set_attribute("answers", len(answers))
@@ -1042,32 +566,19 @@ class QueryEvaluator:
         executor, reason, estimate = self._executor(
             query, relations, program, reduced, strategy, prelude=prelude
         )
-        shards, shard_reason, parallel = self._shard_decision(
-            query, relations, program, executor, strategy, reason, estimate
-        )
         kind = "reduced" if isinstance(executor, ReducedProgram) else "program"
         span, profile = self._evaluation_span(
             query, executor, kind, reason, strategy, estimate
         )
         timed = self.metrics is not None or profile is not None
         variables = program.variables
+        cancel = deadline.checker("join") if deadline is not None else None
         with span:
-            if profile is not None:
-                self._annotate_shard_decision(span, shard_reason, parallel)
             started = time.perf_counter() if timed else 0.0
-            if shards > 1:
-                frames: Iterator[tuple] | list[tuple] = self._run_sharded(
-                    executor, relations, query, prelude, shards,
-                    profile=profile, span=span, deadline=deadline,
-                )
-            else:
-                cancel = deadline.checker("join") if deadline is not None else None
-                frames = self._frames_for(
-                    executor, relations, query, prelude, profile=profile,
-                    cancel=cancel,
-                )
             out: dict[tuple, list[Binding]] = {}
-            for frame in frames:
+            for frame in self._frames_for(
+                executor, relations, query, prelude, profile=profile, cancel=cancel
+            ):
                 out.setdefault(program.output_row(frame), []).append(
                     dict(zip(variables, frame))
                 )

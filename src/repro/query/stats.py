@@ -2,7 +2,7 @@
 
 PR 4's ``strategy="auto"`` gated the Yannakakis reduction on a blunt
 cardinality threshold: reduce whenever the body extensions total at least
-``reduction_threshold`` rows.  That gate is wrong in both directions — a
+4096 rows.  That gate is wrong in both directions — a
 large, densely joining instance pays the prelude's linear passes for nothing,
 and a small instance riddled with dangling tuples is denied a reduction that
 would have paid for itself.  This module replaces the gate with an actual
@@ -61,7 +61,6 @@ __all__ = [
     "CostEstimate",
     "CostModel",
     "EvaluationMetrics",
-    "ParallelEstimate",
 ]
 
 
@@ -275,37 +274,6 @@ class CostEstimate:
         }
 
 
-@dataclass(frozen=True)
-class ParallelEstimate:
-    """The cost model's verdict for sharding one evaluation across workers.
-
-    ``serial_cost`` is whatever the executor would cost on one thread (the
-    winning side of the :class:`CostEstimate`); ``parallel_cost`` divides the
-    join work across *workers* and adds the sharding overheads — per-worker
-    setup (task dispatch, result shipping) and the per-driving-row partition
-    pass.  Shard setup is deliberately not free: on small inputs the overhead
-    terms dominate and ``auto`` keeps picking serial below the crossover.
-    """
-
-    serial_cost: float
-    parallel_cost: float
-    workers: int
-    driving_rows: int
-
-    @property
-    def prefers_parallel(self) -> bool:
-        return self.parallel_cost < self.serial_cost
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "strategy": "parallel" if self.prefers_parallel else "serial",
-            "serial_cost": round(self.serial_cost, 2),
-            "parallel_cost": round(self.parallel_cost, 2),
-            "workers": self.workers,
-            "driving_rows": self.driving_rows,
-        }
-
-
 class CostModel:
     """Estimates whether a semi-join prelude beats the plain join program.
 
@@ -333,13 +301,6 @@ class CostModel:
     PRELUDE_PASS_COST = 2.0
     #: Work per *surviving* row for the ephemeral per-step bucket build.
     BUCKET_BUILD_COST = 1.0
-    #: Fixed work per shard worker (task dispatch, frame shipping, merge) —
-    #: the term that keeps ``auto`` serial on small inputs.
-    SHARD_SETUP_COST = 500.0
-    #: Work per driving row for the hash-partition pass that assigns rows to
-    #: shards (amortised to near zero on warm traffic by the partition cache,
-    #: but priced conservatively: the decision must hold on a cold run too).
-    SHARD_ROW_COST = 0.25
 
     def __init__(self, statistics: StatisticsCatalog) -> None:
         self.statistics = statistics
@@ -397,30 +358,6 @@ class CostModel:
             survival=tuple(survival),
         )
 
-    def parallel_estimate(
-        self, serial_cost: float, driving_rows: int, workers: int
-    ) -> ParallelEstimate:
-        """Price sharding an evaluation of *serial_cost* across *workers*.
-
-        The join work divides near-linearly (each shard runs the identical
-        program over a disjoint slice of the driving rows); the overheads do
-        not: partitioning touches every driving row once and every worker
-        costs a fixed setup.  Comparison against *serial_cost* is what
-        ``strategy="auto"`` uses for the parallel-vs-serial crossover.
-        """
-        workers = max(1, workers)
-        parallel_cost = (
-            serial_cost / workers
-            + self.SHARD_SETUP_COST * workers
-            + driving_rows * self.SHARD_ROW_COST
-        )
-        return ParallelEstimate(
-            serial_cost=serial_cost,
-            parallel_cost=parallel_cost,
-            workers=workers,
-            driving_rows=driving_rows,
-        )
-
     def _join_cost(
         self,
         reduced: "ReducedProgram",
@@ -448,7 +385,7 @@ class CostModel:
 
 @shared_state(
     "_picks", "_reasons", "_estimates", "_estimated_cost",
-    "_actuals", "_prelude", "_by_query", "_sharding",
+    "_actuals", "_prelude", "_by_query",
     lock="_lock",
 )
 class EvaluationMetrics:
@@ -500,14 +437,6 @@ class EvaluationMetrics:
         #                 "estimates": int,
         #                 "estimated_cost": {"program": total, "reduced": total}}
         self._by_query: dict[str, dict] = {}
-        self._sharding = {
-            "parallel": 0,       # evaluations that ran sharded
-            "serial": 0,         # evaluations the shard resolver kept serial
-            "shards_executed": 0,
-            "degraded_retries": 0,  # crashed fork shards re-run serially
-            "reasons": {},       # shard-decision reason -> count
-        }
-
     # -- recording -----------------------------------------------------------
     def record_pick(self, kind: str, reason: str) -> None:
         """Count one strategy resolution (*kind* executor, picked *reason*)."""
@@ -528,28 +457,6 @@ class EvaluationMetrics:
             bucket = self._actuals.setdefault(kind, [0, 0.0])
             bucket[0] += 1
             bucket[1] += seconds
-
-    def record_shards(self, shards: int, reason: str) -> None:
-        """Count one shard decision: *shards* workers used (1 = serial)."""
-        with self._lock:
-            if shards > 1:
-                self._sharding["parallel"] += 1
-                self._sharding["shards_executed"] += shards
-            else:
-                self._sharding["serial"] += 1
-            reasons = self._sharding["reasons"]
-            reasons[reason] = reasons.get(reason, 0) + 1
-
-    def record_degraded_retry(self, shards: int = 1) -> None:
-        """Count *shards* crashed shard workers re-run serially in-process.
-
-        The graceful-degradation path: a dead fork child's slice of the
-        driving rows is intact in the parent, so the evaluation completes —
-        slower — instead of failing.  A nonzero counter under the fork
-        backend is the signal to look at worker health.
-        """
-        with self._lock:
-            self._sharding["degraded_retries"] += shards
 
     def record_prelude(
         self, hit: bool, steps_recomputed: int = 0, steps_reused: int = 0
@@ -640,10 +547,6 @@ class EvaluationMetrics:
             estimated = dict(self._estimated_cost)
             actuals = {k: list(v) for k, v in self._actuals.items()}
             prelude = dict(self._prelude)
-            sharding = {
-                **{k: v for k, v in self._sharding.items() if k != "reasons"},
-                "reasons": dict(sorted(self._sharding["reasons"].items())),
-            }
             tracked_queries = len(self._by_query)
         lookups = prelude["hits"] + prelude["misses"]
         prelude["hit_rate"] = round(prelude["hits"] / lookups, 4) if lookups else 0.0
@@ -670,7 +573,6 @@ class EvaluationMetrics:
                 "tracked_queries": tracked_queries,
             },
             "prelude_cache": prelude,
-            "sharding": sharding,
         }
 
     def reset(self) -> None:

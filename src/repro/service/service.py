@@ -162,9 +162,7 @@ class CitationService:
         self.default_timeout = default_timeout
         if self.admission is not None:
             self.metrics.register_gauge_source("admission", self.admission.snapshot)
-        # CPU-derived bounded default, shared with the evaluator's shard
-        # pool (repro.concurrency.default_worker_count) so the two pools
-        # scale together instead of oversubscribing each other.
+        # CPU-derived bounded default (repro.concurrency.default_worker_count).
         self.max_workers = (
             max_workers if max_workers is not None else default_worker_count()
         )
@@ -502,10 +500,6 @@ class CitationService:
                 "strategy": self.engine.strategy,
                 "analysis": self.engine.analysis,
                 "citation_views": len(self.engine.citation_views),
-                "workers": self.engine.workers
-                if self.engine.workers is not None
-                else default_worker_count(),
-                "parallel_backend": self.engine.parallel_backend,
             }
         if self.startup_lint_report is not None:
             snapshot["startup_lint"] = self.startup_lint_report.as_dict()

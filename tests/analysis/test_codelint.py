@@ -335,8 +335,6 @@ class TestRepoGate:
             "_programs": "_cache_lock",
             "_reduced": "_cache_lock",
             "_preludes": "_cache_lock",
-            "_shard_parts": "_cache_lock",
-            "_shard_pool": "_pool_lock",
         }
         assert set(declared_shared_state(ServiceMetrics)) == {
             "_counters", "_histograms", "_gauge_sources",

@@ -16,7 +16,6 @@ replays byte-identically.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
@@ -159,56 +158,6 @@ class TestDeadlineStorm:
             # dependency) but the first checkpoint after it cancels.
             assert elapsed < 1.0
             conservation(service.stats()["counters"])
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="fork backend is POSIX-only")
-class TestForkWorkerCrash:
-    def test_killed_shard_child_degrades_to_serial_retry(self, db):
-        engine = CitationEngine(
-            db, gtopdb.citation_views(), strategy="parallel", workers=2,
-            parallel_backend="fork",
-        )
-        expected = frozenset(engine.cite(QUERIES[0]).result.rows)
-        engine.invalidate_caches()
-        with fault_plan(FaultSpec("fork.child", key=0, exit_status=42)):
-            result = engine.cite(QUERIES[0])
-        # Byte-identical answers despite shard 0's worker dying mid-flight.
-        assert frozenset(result.result.rows) == expected
-        sharding = engine.evaluation_metrics.snapshot()["sharding"]
-        assert sharding["degraded_retries"] >= 1
-
-    def test_every_child_killed_still_answers(self, db):
-        engine = CitationEngine(
-            db, gtopdb.citation_views(), strategy="parallel", workers=2,
-            parallel_backend="fork",
-        )
-        expected = frozenset(engine.cite(QUERIES[2]).result.rows)
-        engine.invalidate_caches()
-        with fault_plan(FaultSpec("fork.child", exit_status=9)):
-            result = engine.cite(QUERIES[2])
-        assert frozenset(result.result.rows) == expected
-        sharding = engine.evaluation_metrics.snapshot()["sharding"]
-        assert sharding["degraded_retries"] >= 2
-
-    def test_crash_through_the_service_conserves_metrics(self, db):
-        engine = CitationEngine(
-            db, gtopdb.citation_views(), strategy="parallel", workers=2,
-            parallel_backend="fork",
-        )
-        with CitationService(engine) as service:
-            baseline = service.submit(CitationRequest(query=QUERIES[0]))
-            assert baseline.ok
-            with fault_plan(FaultSpec("fork.child", key=1, exit_status=42)):
-                degraded = service.submit(
-                    CitationRequest(
-                        query=QUERIES[0], metadata={"no_result_cache": True}
-                    )
-                )
-            assert degraded.ok
-            assert degraded.row_count == baseline.row_count
-            counters = service.stats()["counters"]
-            conservation(counters)
-            assert counters["errors"] == 0
 
 
 class TestAdmissionShedding:

@@ -157,6 +157,13 @@ class TestValidation:
         with pytest.raises(CitationError):
             CitationEngine(paper_db, paper_views + [paper_views[0]])
 
+    @pytest.mark.parametrize("strategy", ["cost", "parallel", "bogus"])
+    def test_unknown_strategy_rejected_at_construction(
+        self, paper_db, paper_views, strategy
+    ):
+        with pytest.raises(CitationError, match="auto.*program.*reduced"):
+            CitationEngine(paper_db, paper_views, strategy=strategy)
+
     def test_rewriting_with_uncovered_view_rejected(self, paper_engine, paper_views):
         # Build a rewriting that mentions a view the engine does not know.
         from repro.rewriting.rewriting import Rewriting

@@ -29,7 +29,7 @@ from repro.query.ast import Constant
 from repro.query.compiler import is_acyclic
 from repro.query.evaluator import QueryEvaluator
 
-STRATEGY_KNOBS = ("program", "reduced", "auto", "cost")
+STRATEGY_KNOBS = ("program", "reduced", "auto")
 
 
 def _answers(database, extra, query, strategy, use_indexes=True):

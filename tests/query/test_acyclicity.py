@@ -11,7 +11,7 @@ import pytest
 from strategies import brute_force
 
 from repro.query.compiler import is_acyclic, join_forest
-from repro.query.evaluator import QueryEvaluator
+from repro.query.evaluator import STRATEGIES, QueryEvaluator
 from repro.query.parser import parse_query
 from repro.relational.database import Database
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
@@ -90,37 +90,6 @@ class TestReduceProgramStructure:
         assert evaluator.reduce(PATH) is evaluator.reduce(PATH)
 
 
-def _legacy_evaluator(db, **kwargs):
-    """An evaluator on the deprecated cardinality-threshold gate."""
-    with pytest.warns(DeprecationWarning):
-        return QueryEvaluator(db, **kwargs)
-
-
-class TestLegacyThresholdSelection:
-    """The deprecated ``reduction_threshold`` escape hatch keeps its gate."""
-
-    def test_threshold_zero_reduces_every_acyclic_query(self, db):
-        evaluator = _legacy_evaluator(db, reduction_threshold=0)
-        for query in (PATH, STAR, SELF_JOIN_PATH):
-            assert evaluator.select_strategy(query) == "reduced"
-
-    def test_threshold_gate_falls_back_to_program_for_cyclic_queries(self, db):
-        evaluator = _legacy_evaluator(db, reduction_threshold=0)
-        for query in (TRIANGLE, SQUARE):
-            assert evaluator.select_strategy(query) == "program"
-
-    def test_the_cardinality_threshold_is_respected(self, db):
-        # 8 + 8 + 8 body rows: below a threshold of 100, above one of 10.
-        small = _legacy_evaluator(db, reduction_threshold=100)
-        large = _legacy_evaluator(db, reduction_threshold=10)
-        assert small.select_strategy(PATH) == "program"
-        assert large.select_strategy(PATH) == "reduced"
-
-    def test_threshold_gate_skips_single_atoms(self, db):
-        evaluator = _legacy_evaluator(db, reduction_threshold=0)
-        assert evaluator.select_strategy(SINGLE) == "program"
-
-
 class TestAutoSelection:
     def test_auto_falls_back_to_program_for_cyclic_queries(self, db):
         evaluator = QueryEvaluator(db)
@@ -155,11 +124,6 @@ class TestAutoSelection:
         evaluator = QueryEvaluator(database)
         assert evaluator.select_strategy(PATH) == "reduced"
 
-    def test_cost_strategy_matches_auto_by_default(self, db):
-        assert QueryEvaluator(db, strategy="cost").select_strategy(
-            PATH
-        ) == QueryEvaluator(db).select_strategy(PATH)
-
     def test_warm_prelude_overrides_the_cost_model(self, db):
         # Dense data: cold, the cost model refuses the prelude ...
         for name in ("R", "S", "T"):
@@ -179,16 +143,17 @@ class TestAutoSelection:
             == "reduced"
         )
         assert (
-            _legacy_evaluator(db, strategy="program", reduction_threshold=0)
-            .select_strategy(PATH)
+            QueryEvaluator(db, strategy="program").select_strategy(PATH)
             == "program"
         )
 
     def test_unknown_strategy_is_rejected(self, db):
-        with pytest.raises(ValueError):
-            QueryEvaluator(db, strategy="yannakakis")
-        with pytest.raises(ValueError):
-            QueryEvaluator(db).evaluate(PATH, strategy="yannakakis")
+        assert STRATEGIES == ("auto", "program", "reduced")
+        for strategy in ("yannakakis", "cost", "parallel"):
+            with pytest.raises(ValueError):
+                QueryEvaluator(db, strategy=strategy)
+            with pytest.raises(ValueError):
+                QueryEvaluator(db).evaluate(PATH, strategy=strategy)
 
 
 class TestCorrectnessOfFallbacks:
@@ -198,7 +163,7 @@ class TestCorrectnessOfFallbacks:
     )
     def test_every_strategy_matches_brute_force(self, db, query):
         reference = brute_force(query, db)
-        for strategy in ("program", "reduced", "auto", "cost"):
+        for strategy in STRATEGIES:
             evaluator = QueryEvaluator(db, strategy=strategy)
             assert evaluator.evaluate(query).rows == reference, strategy
 

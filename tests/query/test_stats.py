@@ -1,6 +1,6 @@
 """Tests for the statistics catalog, the cost model and evaluation metrics.
 
-The cost model replaces the deprecated cardinality threshold of
+The cost model replaced the fixed 4096-row cardinality threshold of
 ``strategy="auto"``: these tests pin the statistics it reads (row counts,
 distinct keys, bucket skew, sampled key overlap — all version-stamped and
 lazily refreshed), the two decision directions the fixed threshold got wrong
@@ -10,7 +10,7 @@ metrics every decision leaves behind.
 
 import pytest
 
-from repro.query.evaluator import DEFAULT_REDUCTION_THRESHOLD, QueryEvaluator
+from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
 from repro.query.stats import (
     EvaluationMetrics,
@@ -30,6 +30,10 @@ SCHEMA = DatabaseSchema(
 )
 
 PATH = parse_query("Q(A, D) :- R(A, B), S(B, C), T(C, D)")
+
+#: The fixed total-cardinality gate ``strategy="auto"`` used before the cost
+#: model: reduce at or above this many body rows.
+FIXED_THRESHOLD = 4096
 
 
 def _relation(name: str, rows) -> Relation:
@@ -169,8 +173,8 @@ class TestCostModel:
         # The two workloads the fixed 4096-row gate misjudges, pinned.
         dense = _dense_db(1500)   # 4500 rows total: threshold said "reduced"
         sparse = _sparse_db(300)  # 900 rows total: threshold said "program"
-        assert dense.total_rows() >= DEFAULT_REDUCTION_THRESHOLD
-        assert sparse.total_rows() < DEFAULT_REDUCTION_THRESHOLD
+        assert dense.total_rows() >= FIXED_THRESHOLD
+        assert sparse.total_rows() < FIXED_THRESHOLD
         assert QueryEvaluator(dense).select_strategy(PATH) == "program"
         assert QueryEvaluator(sparse).select_strategy(PATH) == "reduced"
 
@@ -194,34 +198,6 @@ class TestCostModel:
         payload = estimate.as_dict()
         assert json.loads(json.dumps(payload)) == payload
         assert payload["strategy"] == "reduced"
-
-
-class TestDeprecatedThreshold:
-    def test_passing_a_threshold_warns(self):
-        database = _dense_db(10)
-        with pytest.warns(DeprecationWarning):
-            evaluator = QueryEvaluator(database, reduction_threshold=7)
-        assert evaluator.reduction_threshold == 7
-
-    def test_default_has_no_threshold(self):
-        assert QueryEvaluator(_dense_db(10)).reduction_threshold is None
-
-    def test_legacy_gate_overrides_the_cost_model_under_auto_only(self):
-        dense = _dense_db(1500)
-        with pytest.warns(DeprecationWarning):
-            legacy = QueryEvaluator(
-                dense, reduction_threshold=DEFAULT_REDUCTION_THRESHOLD
-            )
-        # The old gate reduces dense-large data (that is the bug the cost
-        # model fixes); strategy="cost" ignores the escape hatch.
-        assert legacy.select_strategy(PATH) == "reduced"
-        with pytest.warns(DeprecationWarning):
-            costed = QueryEvaluator(
-                dense,
-                strategy="cost",
-                reduction_threshold=DEFAULT_REDUCTION_THRESHOLD,
-            )
-        assert costed.select_strategy(PATH) == "program"
 
 
 class TestEvaluationMetrics:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -218,6 +219,10 @@ class TestBatching:
             return original(plan, query)
 
         monkeypatch.setattr(engine, "execute_plan", slow_execute)
+        # A full collection of the suite's heap can pause the worker longer
+        # than the 10ms budget before it reaches slow_execute; its deadline
+        # checkpoint then answers in time and nothing is left to time out.
+        gc.collect()
         responses = service.cite_many([QUERY], timeout=0.01)
         assert not responses[0].ok
         assert isinstance(responses[0].error, TimeoutError)
@@ -351,7 +356,6 @@ class TestEvaluationMetricsExposure:
             "pick_reasons",
             "cost_model",
             "prelude_cache",
-            "sharding",
         }
         picks = evaluation["picks"]
         # First call executes, the repeat is a result-cache hit: at least

@@ -1,6 +1,6 @@
 """Service worker-pool contracts: batch deadlines, close semantics, sizing.
 
-Three regression suites for the pool bugs fixed alongside sharded evaluation:
+Three regression suites for the request-pool bugs:
 
 * **deadline** — ``submit_batch(..., timeout=T, max_workers=N)`` must return
   within ``T`` plus scheduling slack even when a backend hangs far longer.
@@ -11,9 +11,8 @@ Three regression suites for the pool bugs fixed alongside sharded evaluation:
   so the old lazily recreated pool would serve post-close requests whose
   writes silently no longer counted into ``mutations_observed``.  Closed is
   now terminal: batch entry points raise, :meth:`submit` carries the error;
-* **sizing** — the default worker count derives from the CPU count (bounded),
-  shared with the evaluator's shard pool via
-  :func:`repro.concurrency.default_worker_count`.
+* **sizing** — the default worker count derives from the CPU count (bounded)
+  via :func:`repro.concurrency.default_worker_count`.
 """
 
 import threading
@@ -235,17 +234,15 @@ class TestWorkerSizing:
         with pytest.raises(CitationError):
             CitationService(engine, max_workers=0)
 
-    def test_stats_expose_workers_and_parallel_knobs(self):
+    def test_stats_expose_the_request_pool_size(self):
         database = gtopdb.paper_instance()
-        engine = CitationEngine(
-            database, gtopdb.citation_views(), workers=3, parallel_backend="thread"
-        )
+        engine = CitationEngine(database, gtopdb.citation_views())
         service = CitationService(engine, max_workers=5)
         try:
             snapshot = service.stats()
             assert snapshot["workers"] == 5
-            assert snapshot["engine"]["workers"] == 3
-            assert snapshot["engine"]["parallel_backend"] == "thread"
-            assert "sharding" in snapshot["evaluation"]
+            assert "workers" not in snapshot["engine"]
+            assert "parallel_backend" not in snapshot["engine"]
+            assert "sharding" not in snapshot["evaluation"]
         finally:
             service.close()

@@ -76,6 +76,13 @@ class TestCite:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy", ["parallel", "cost"])
+    def test_removed_strategies_are_usage_errors(self, database_file, capsys, strategy):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cite", "--database", database_file, "--strategy", strategy, QUERY])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestValidateAndViews:
     def test_validate_good_spec(self, database_file, spec_file, capsys):
