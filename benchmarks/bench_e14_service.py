@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 
-from repro import CitationEngine, CitationPolicy, CitationService
+from repro import CitationEngine, CitationPolicy, CitationRequest, CitationService
 from repro.workloads import gtopdb
 from benchmarks.conftest import report
 
@@ -84,10 +84,9 @@ def test_e14_batch_matches_sequential():
     )
 
     service_engine = _make_engine()
-    with CitationService(service_engine) as service:
-        responses, batch_elapsed = _timed(
-            lambda: service.cite_many(queries, max_workers=8)
-        )
+    requests = [CitationRequest(query=query, backend="relational") for query in queries]
+    with CitationService(service_engine, max_workers=8) as service:
+        responses, batch_elapsed = _timed(lambda: service.submit_batch(requests))
         assert all(response.ok for response in responses)
         for expected, response in zip(sequential, responses):
             result = response.result
@@ -109,7 +108,7 @@ def test_e14_batch_matches_sequential():
                     "qps": round(len(queries) / sequential_elapsed, 1),
                 },
                 {
-                    "path": "service.cite_many (dedup)",
+                    "path": "service.submit_batch (dedup)",
                     "total_ms": round(batch_elapsed * 1e3, 1),
                     "qps": round(throughput, 1),
                 },

@@ -32,6 +32,7 @@ import os
 import random
 import time
 
+from repro.query.compiler import PreludeCache, reduce_program
 from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
 from repro.relational.database import Database
@@ -166,32 +167,39 @@ def _best_of(callable_, rounds: int = ROUNDS):
 def test_e18_warm_prelude_skips_the_reduction():
     database = _dangling_instance()
     evaluator = QueryEvaluator(database, strategy="reduced")
+    # The caller holds the compiled program, its reduction and the prelude,
+    # as a citation plan does; the evaluator keeps no per-query state.
+    program = evaluator.compile(WIDE_VIEW)
+    reduced = reduce_program(program)
+    prelude = PreludeCache(reduced)
+
+    def run(with_prelude: PreludeCache) -> set[tuple]:
+        return set(
+            evaluator.evaluate_with_bindings(
+                WIDE_VIEW, program=program, reduced=reduced, prelude=with_prelude
+            )
+        )
 
     # Warm-up: compile the program, run the analysis, build the shared hash
     # indexes — the comparison is prelude-cold vs. prelude-warm, not
     # compile-cold vs. everything-warm.
-    reference = evaluator.evaluate(WIDE_VIEW).rows
+    reference = run(prelude)
     assert reference == QueryEvaluator(database, strategy="program").evaluate(
         WIDE_VIEW
     ).rows, "strategies diverged"
 
-    def cold():
-        evaluator.invalidate_preludes()
-        return evaluator.evaluate(WIDE_VIEW)
-
-    cold_rows, cold_time = _best_of(cold)
-    warm_rows, warm_time = _best_of(lambda: evaluator.evaluate(WIDE_VIEW))
-    assert warm_rows.rows == cold_rows.rows == reference
+    cold_rows, cold_time = _best_of(lambda: run(PreludeCache(reduced)))
+    warm_rows, warm_time = _best_of(lambda: run(prelude))
+    assert warm_rows == cold_rows == reference
     speedup = cold_time / warm_time if warm_time else float("inf")
 
-    prelude = evaluator._preludes[WIDE_VIEW]
     assert prelude.hits >= ROUNDS - 1  # the warm rounds never re-reduced
 
     # Drift one relation: the refresh must reuse the three untouched steps.
     recomputed_before = prelude.steps_recomputed
     reused_before = prelude.steps_reused
     database.insert("Family", (10_000_000, 0))
-    _rows, drift_time = _best_of(lambda: evaluator.evaluate(WIDE_VIEW), 1)
+    _rows, drift_time = _best_of(lambda: run(prelude), 1)
     assert prelude.steps_recomputed == recomputed_before + 1
     assert prelude.steps_reused == reused_before + 3
 

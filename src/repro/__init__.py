@@ -94,7 +94,6 @@ from repro.service import (
     ExplainReport,
     PlanCache,
     ServiceMetrics,
-    ServiceResponse,
     canonical_key,
     fingerprint,
 )
@@ -178,7 +177,6 @@ __all__ = [
     # serving layer
     "CitationPlan",
     "CitationService",
-    "ServiceResponse",
     "ServiceMetrics",
     "PlanCache",
     "fingerprint",

@@ -465,41 +465,37 @@ def verify_prelude(prelude: PreludeCache) -> AnalysisReport:
 def verify_citation_plan(plan) -> AnalysisReport:
     """Verify everything compiled onto a :class:`~repro.core.engine.CitationPlan`.
 
-    Checks each cached program/reduction/prelude per rewriting position plus
-    the cross-object identity pairing the executor relies on
+    Checks each rewriting position's compiled program, reduction and prelude
+    plus the cross-object identity pairing the executor relies on
     (``reduced.program is program``, ``prelude.reduced is reduced``).  Duck
     typed on purpose — importing the engine here would be an import cycle.
     """
     report = AnalysisReport()
     for position, rewriting in enumerate(plan.rewritings):
+        compiled = plan.compiled(position)
+        if compiled is None:
+            continue
+        program, reduced, prelude = compiled
         loc = f"plan {plan.query.name!r}, rewriting {position}"
-        program = plan.compiled_program(position)
-        reduced = plan.compiled_reduced(position)
-        prelude = plan.compiled_prelude(position)
-        if program is not None:
-            if program.query != rewriting.query:
-                report.add(diagnostic(
-                    "I004",
-                    "cached program was compiled from a different query than the rewriting",
-                    loc,
-                ))
-            if reduced is None and prelude is None:
-                report.extend(verify_program(program))
-        if reduced is not None:
-            if program is not None and reduced.program is not program:
-                report.add(diagnostic(
-                    "I006",
-                    "cached reduced program wraps a different join program than the plan",
-                    loc,
-                ))
-            if prelude is None:
-                report.extend(verify_reduced(reduced))
-        if prelude is not None:
-            if reduced is not None and prelude.reduced is not reduced:
-                report.add(diagnostic(
-                    "I007",
-                    "cached prelude belongs to a different reduced program than the plan",
-                    loc,
-                ))
-            report.extend(verify_prelude(prelude))
+        if program.query != rewriting.query:
+            report.add(diagnostic(
+                "I004",
+                "cached program was compiled from a different query than the rewriting",
+                loc,
+            ))
+        if reduced.program is not program:
+            report.add(diagnostic(
+                "I006",
+                "cached reduced program wraps a different join program than the plan",
+                loc,
+            ))
+            report.extend(verify_program(program))
+        if prelude.reduced is not reduced:
+            report.add(diagnostic(
+                "I007",
+                "cached prelude belongs to a different reduced program than the plan",
+                loc,
+            ))
+            report.extend(verify_reduced(reduced))
+        report.extend(verify_prelude(prelude))
     return report

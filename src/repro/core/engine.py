@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping, Sequence
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from repro.core.citation import Citation
 from repro.core.citation_view import CitationView, views_of
@@ -54,8 +54,19 @@ from repro.errors import (
 )
 from repro.observability import NULL_SPAN, get_tracer
 from repro.query.ast import ConjunctiveQuery, Constant, Term, Variable
-from repro.query.compiler import JoinProgram, PreludeCache, ReducedProgram
-from repro.query.evaluator import STRATEGIES, Binding, QueryEvaluator, Strategy
+from repro.query.compiler import (
+    JoinProgram,
+    PreludeCache,
+    ReducedProgram,
+    reduce_program,
+)
+from repro.query.evaluator import (
+    STRATEGIES,
+    Binding,
+    QueryEvaluator,
+    Strategy,
+    result_schema,
+)
 from repro.query.stats import CostModel, EvaluationMetrics, StatisticsCatalog
 from repro.query.parser import parse_query
 from repro.relational.database import Database
@@ -96,6 +107,19 @@ _ANALYSIS_CACHE_LIMIT = 1024
 PlanToken = tuple[int, int]
 
 
+class CompiledRewriting(NamedTuple):
+    """The compiled join artifacts of one rewriting of a plan.
+
+    Built together by :meth:`CitationEngine._compiled_rewriting`, so the
+    reduction wraps exactly this program and the prelude warms exactly this
+    reduction.
+    """
+
+    program: JoinProgram
+    reduced: ReducedProgram
+    prelude: PreludeCache
+
+
 @dataclass(frozen=True)
 class CitationPlan:
     """A compiled citation plan: the reusable, data-dependent-free part of
@@ -106,7 +130,9 @@ class CitationPlan:
     Executing a plan only evaluates the chosen rewritings and assembles the
     citation expressions, so a cached plan lets structurally identical queries
     skip the search entirely (the serving layer in :mod:`repro.service` builds
-    on this split).
+    on this split).  The plan is also the only owner of each rewriting's
+    compiled join program, semi-join reduction and warm prelude (one
+    :class:`CompiledRewriting` per rewriting position).
     """
 
     query: ConjunctiveQuery
@@ -121,69 +147,24 @@ class CitationPlan:
     core: ConjunctiveQuery | None = field(default=None, compare=False)
     #: Static-analysis findings from compile time (empty when analysis off).
     diagnostics: tuple[Diagnostic, ...] = field(default=(), compare=False)
-    #: Compiled join programs per rewriting position, filled lazily on first
-    #: execution.  A program is pure description (atom order, slot layout,
-    #: bound-position accessors) and independent of the data, so it rides
-    #: along with the plan through the serving layer's plan cache and is
-    #: compiled once per plan rather than once per request.  Excluded from
-    #: equality/hash; concurrent fills race benignly (both compute the same
-    #: program).
-    _programs: dict[int, JoinProgram] = field(
+    #: The compiled artifacts per rewriting position, built on first
+    #: execution (or at compile time when plans are verified).  The program
+    #: and its reduction are pure description, independent of the data; the
+    #: prelude carries data-derived warm state stamped with the identity and
+    #: version of every relation it read, so it refreshes itself after data
+    #: drift and after a forced invalidation (which re-materialises every
+    #: view).  The plan is the only owner of this state, and it rides along
+    #: through the serving layer's plan cache, so warm traffic never
+    #: recompiles a rewriting or re-runs an unchanged semi-join pass.
+    #: Excluded from equality/hash.
+    _compiled: dict[int, CompiledRewriting] = field(
         default_factory=dict, compare=False, repr=False
     )
-    #: Semi-join-reduced programs per rewriting position, filled alongside
-    #: :attr:`_programs` — the acyclicity analysis and reduction prelude are
-    #: likewise pure description, so a plan cached by the serving layer
-    #: carries both executors and serving traffic never re-analyses a query
-    #: shape it has seen.
-    _reduced: dict[int, ReducedProgram] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    #: Warm-prelude caches per rewriting position — unlike the programs these
-    #: carry *data-derived* state (per-step candidate lists keyed by relation
-    #: versions), so a plan held by the serving layer's plan cache serves
-    #: warm traffic without re-running the semi-join passes at all.  The
-    #: state self-invalidates on data drift via its version stamps; a forced
-    #: engine invalidation drops it wholesale (see
-    #: :meth:`CitationEngine.execute_plan`).
-    _preludes: dict[int, PreludeCache] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    #: Engine cache epoch the preludes were warmed under (mutable cell so a
-    #: frozen plan can track it); ``-1`` = never executed.
-    _prelude_epoch: list[int] = field(
-        default_factory=lambda: [-1], compare=False, repr=False
-    )
 
-    def compiled_program(self, position: int) -> JoinProgram | None:
-        """The cached join program of rewriting *position* (``None`` before
-        first execution)."""
-        return self._programs.get(position)
-
-    def cache_program(self, position: int, program: JoinProgram) -> None:
-        """Attach the compiled join program of rewriting *position*."""
-        self._programs[position] = program
-
-    def compiled_reduced(self, position: int) -> ReducedProgram | None:
-        """The cached reduced program of rewriting *position* (``None`` before
-        first execution)."""
-        return self._reduced.get(position)
-
-    def cache_reduced(self, position: int, reduced: ReducedProgram) -> None:
-        """Attach the semi-join-reduced program of rewriting *position*."""
-        self._reduced[position] = reduced
-
-    def compiled_prelude(self, position: int) -> PreludeCache | None:
-        """The warm-prelude cache of rewriting *position* (``None`` when cold)."""
-        return self._preludes.get(position)
-
-    def cache_prelude(self, position: int, prelude: PreludeCache) -> None:
-        """Attach the warm-prelude cache of rewriting *position*."""
-        self._preludes[position] = prelude
-
-    def drop_preludes(self) -> None:
-        """Discard every warmed prelude (the next execution runs cold)."""
-        self._preludes.clear()
+    def compiled(self, position: int) -> CompiledRewriting | None:
+        """The compiled artifacts of rewriting *position* (``None`` before
+        first use)."""
+        return self._compiled.get(position)
 
     @property
     def data_dependent(self) -> bool:
@@ -325,14 +306,9 @@ class CitationEngine:
         self._statistics = StatisticsCatalog(self._index_manager)
         self._cost_model = CostModel(self._statistics)
         self.evaluation_metrics = EvaluationMetrics()
-        # One persistent evaluator per engine: its program/reduction/prelude
-        # caches then persist across cite() calls and serving requests (the
-        # views it reads are re-pointed per execution, see
-        # _execution_evaluator).
-        self._evaluator: QueryEvaluator | None = None
         # Static analysis is pure query-shape work (schema + containment, no
         # instance data), so one bounded cache serves every compile and every
-        # fingerprint computation of the same query object.  cite_many fans
+        # fingerprint computation of the same query object.  submit_batch fans
         # requests out over a thread pool, so lookup/evict/insert and the
         # counter bumps must be atomic (the analysis itself runs unlocked —
         # it is pure, so concurrent duplicate work races benignly).
@@ -377,17 +353,15 @@ class CitationEngine:
         plans held elsewhere are invalidated too.
 
         Besides the views, citation records and view indexes, this clears the
-        statistics catalog and the evaluator's compiled-program, reduction
-        and warm-prelude caches — warmed prelude state attached to plans held
-        elsewhere is dropped lazily the next time the engine executes them
-        (their recorded epoch no longer matches).
+        statistics catalog.  Warm prelude state on plans held elsewhere needs
+        no separate protocol: the views are re-materialised on next use, so
+        every prelude's relation-identity stamp misses and its state
+        recomputes.
         """
         self._view_relations = None
         self._record_cache.clear()
         self._index_manager.invalidate()
         self._statistics.invalidate()
-        if self._evaluator is not None:
-            self._evaluator.invalidate_caches()
         self._cache_epoch += 1
 
     def _refresh_generation(self) -> None:
@@ -626,26 +600,19 @@ class CitationEngine:
         """Run the IR verifier over *plan*'s compiled join IR (see
         ``verify_plans``).
 
-        Programs and reductions are compiled eagerly here — the executor
-        would compile the very same objects lazily on first execution, so
-        under ``warn``/``strict`` the verification itself is the only extra
-        work, it happens once per plan compile, and warm traffic through the
-        serving layer's plan cache never pays again.
+        The compiled artifacts are built eagerly here, by the same
+        :meth:`_compiled_rewriting` the executor would call lazily on first
+        execution, so under ``warn``/``strict`` the verification itself is
+        the only extra work, it happens once per plan compile, and warm
+        traffic through the serving layer's plan cache never pays again.
         """
         if self.verify_plans == "off" or not plan.rewritings:
             return
         evaluator = self._execution_evaluator()
         report = AnalysisReport()
-        for position, rewriting in enumerate(plan.rewritings):
-            program = plan.compiled_program(position)
-            if program is None:
-                program = evaluator.compile(rewriting.query)
-                plan.cache_program(position, program)
-            reduced = plan.compiled_reduced(position)
-            if reduced is None or reduced.program is not program:
-                reduced = evaluator.reduction_of(rewriting.query, program)
-                plan.cache_reduced(position, reduced)
-            report.extend(verify_reduced(reduced))
+        for position in range(len(plan.rewritings)):
+            compiled = self._compiled_rewriting(plan, position, evaluator)
+            report.extend(verify_reduced(compiled.reduced))
         with self._analysis_lock:
             self._analysis_stats["plans_verified"] += 1
             if report.has_errors:
@@ -726,32 +693,12 @@ class CitationEngine:
 
         tracer = get_tracer()
         evaluator = self._execution_evaluator()
-        # Warmed prelude state is version-stamped and survives ordinary data
-        # drift (only drifted steps recompute), but a forced invalidation
-        # must also retire state warmed before the epoch bump — even on plans
-        # the engine cannot reach at invalidation time.
-        if plan._prelude_epoch[0] != self._cache_epoch:
-            plan.drop_preludes()
-            plan._prelude_epoch[0] = self._cache_epoch
         per_rewriting: list[tuple[Rewriting, dict[tuple, list[Binding]]]] = []
         all_rows: set[tuple] = set()
         for position, rewriting in enumerate(plan.rewritings):
-            program = plan.compiled_program(position)
-            if program is None:
-                program = evaluator.compile(rewriting.query)
-                plan.cache_program(position, program)
-            prelude = None
-            reduced = plan.compiled_reduced(position)
-            if self.strategy != "program":
-                if reduced is None:
-                    reduced = evaluator.reduction_of(rewriting.query, program)
-                    plan.cache_reduced(position, reduced)
-                prelude = plan.compiled_prelude(position)
-                if prelude is None or prelude.reduced is not reduced:
-                    # Shared with the evaluator's per-query cache, so direct
-                    # cite() calls and plan-cache hits warm the same state.
-                    prelude = evaluator.prelude_for(rewriting.query, reduced)
-                    plan.cache_prelude(position, prelude)
+            program, reduced, prelude = self._compiled_rewriting(
+                plan, position, evaluator
+            )
             rewriting_span = (
                 tracer.span(
                     "engine.rewriting",
@@ -808,35 +755,48 @@ class CitationEngine:
         )
 
     # -- helpers -------------------------------------------------------------------------
-    def _execution_evaluator(self) -> QueryEvaluator:
-        """The engine's persistent evaluator, pointed at the current views.
+    def _compiled_rewriting(
+        self, plan: CitationPlan, position: int, evaluator: QueryEvaluator
+    ) -> CompiledRewriting:
+        """The compiled artifacts of *plan*'s rewriting *position*.
 
-        Built once and reused so its compiled-program, reduction and
-        warm-prelude caches persist across executions.  The view relations it
-        resolves against are re-bound per call: within one database
-        generation they are the same objects, and after a mutation the fresh
-        materialisations replace them (the prelude caches notice via their
-        identity stamps).  Mutations must not race in-flight executions —
+        Built on first use in one step — compile, reduce, wrap in an empty
+        prelude — and published on the plan with ``setdefault``, so threads
+        racing on a cold plan all adopt the first entry and the three
+        objects stay identity-paired.  Compile-time verification and
+        execution both go through here.
+        """
+        compiled = plan.compiled(position)
+        if compiled is None:
+            program = evaluator.compile(plan.rewritings[position].query)
+            reduced = reduce_program(program)
+            compiled = plan._compiled.setdefault(
+                position,
+                CompiledRewriting(
+                    program,
+                    reduced,
+                    PreludeCache(reduced, metrics=self.evaluation_metrics),
+                ),
+            )
+        return compiled
+
+    def _execution_evaluator(self) -> QueryEvaluator:
+        """A fresh evaluator over the current views for one execution.
+
+        Cheap to build: it shares the engine's index manager, statistics,
+        cost model and metrics, and holds no compiled state of its own (the
+        plans own that).  Mutations must not race in-flight executions —
         the usual reader/writer discipline of the in-memory store.
         """
-        views = self.view_relations()
-        evaluator = self._evaluator
-        if evaluator is None:
-            evaluator = QueryEvaluator(
-                self.database,
-                extra_relations=views,
-                index_manager=self._index_manager,
-                strategy=self.strategy,
-                statistics=self._statistics,
-                cost_model=self._cost_model,
-                metrics=self.evaluation_metrics,
-            )
-            self._evaluator = evaluator
-        else:
-            if evaluator.extra_relations is not views:
-                evaluator.extra_relations = views
-            evaluator.strategy = self.strategy
-        return evaluator
+        return QueryEvaluator(
+            self.database,
+            extra_relations=self.view_relations(),
+            index_manager=self._index_manager,
+            strategy=self.strategy,
+            statistics=self._statistics,
+            cost_model=self._cost_model,
+            metrics=self.evaluation_metrics,
+        )
 
     def _handle_no_rewriting(
         self,
@@ -875,8 +835,6 @@ class CitationEngine:
         )
 
     def _result_relation(self, query: ConjunctiveQuery, rows: Iterable[tuple]) -> Relation:
-        from repro.query.evaluator import result_schema
-
         return Relation(result_schema(query), rows)
 
     @staticmethod

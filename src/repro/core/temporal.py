@@ -24,7 +24,8 @@ from repro.core.citation_view import CitationView, DefaultCitationFunction
 from repro.core.engine import CitationEngine, CitedResult
 from repro.core.policy import CitationPolicy
 from repro.errors import SchemaError
-from repro.query.ast import Atom, ConjunctiveQuery, Variable
+from repro.query.ast import Atom, ConjunctiveQuery, Constant, Variable
+from repro.query.parser import parse_query
 from repro.relational.database import Database
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
 
@@ -183,9 +184,6 @@ class TemporalCitationEngine:
         serving layer like any other (the era constant participates in the
         structural fingerprint).
         """
-        from repro.query.ast import Constant
-        from repro.query.parser import parse_query
-
         if isinstance(query, str):
             query = parse_query(query)
         new_body = []

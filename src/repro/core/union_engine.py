@@ -28,7 +28,7 @@ from repro.core.citation import Citation
 from repro.core.engine import CitationEngine, CitationPlan, Mode, PlanToken, TupleCitation
 from repro.core.expression import Aggregate, alternative
 from repro.errors import NoRewritingError
-from repro.query.evaluator import result_schema
+from repro.query.evaluator import QueryEvaluator, result_schema
 from repro.query.ucq import UnionQuery, as_union
 from repro.relational.relation import Relation
 
@@ -121,8 +121,6 @@ def execute_union_plan(
     ):
         if disjunct_plan is None:
             uncovered.append(index)
-            from repro.query.evaluator import QueryEvaluator
-
             rows = QueryEvaluator(engine.database).evaluate(
                 disjunct.without_parameters()
             ).rows

@@ -1153,10 +1153,9 @@ class PreludeCache:
       version vector (:attr:`ReducedProgram.subtrees`) — a subtree with no
       drifted relation contributes its previous semi-joined key set.
 
-    The cache rides along with its reduced program: on the evaluator
-    (per-query) and on a :class:`~repro.core.engine.CitationPlan`
-    (per-rewriting), so the serving layer's plan cache carries warmed state
-    across requests.  Concurrent refreshes race benignly (both compute
+    The cache rides along with its reduced program on a
+    :class:`~repro.core.engine.CitationPlan` (per rewriting), so the serving
+    layer's plan cache carries warmed state across requests.  Concurrent refreshes race benignly (both compute
     equivalent snapshots; counters may undercount); the usual
     reader/writer discipline of the in-memory store applies to mutations.
     """

@@ -14,10 +14,11 @@ atom order, variable→slot assignment and per-atom bound-position accessors
 are fixed once at compile time, relations are resolved once per evaluation,
 and bound-position probes use hash indexes — over database relations *and*
 over ``extra_relations`` such as materialised views, via an
-:class:`~repro.relational.index.IndexManager`.  Programs are cached per
-query on the evaluator (callers that hold a compiled plan can also pass a
-program in explicitly, which is how the serving layer amortises compilation
-across requests).
+:class:`~repro.relational.index.IndexManager`.  The evaluator keeps no
+per-query state: it compiles per call unless the caller passes a program,
+its reduction and a warm prelude in explicitly.  The citation engine does
+that from its compiled plans, which is how the serving layer amortises
+compilation and warm prelude state across requests.
 
 The evaluator has a **strategy knob** for how a program is executed:
 
@@ -29,9 +30,9 @@ The evaluator has a **strategy knob** for how a program is executed:
 * ``"auto"`` (the default) — for α-acyclic multi-atom queries, ask the
   statistics-driven :class:`~repro.query.stats.CostModel` whether the
   prelude's expected dangling-tuple savings beat its linear passes; run
-  whatever it picks.  A query whose warm
-  :class:`~repro.query.compiler.PreludeCache` is current always runs reduced
-  — the prelude costs nothing, so the cost model is only consulted cold.
+  whatever it picks.  A query passed a current warm
+  :class:`~repro.query.compiler.PreludeCache` always runs reduced — the
+  prelude costs nothing, so the cost model is only consulted cold.
 
 Every evaluation runs serially in the calling thread; the service layer's
 request pool is where concurrency lives.
@@ -44,12 +45,10 @@ suites (``tests/property/test_strategy_equivalence.py`` and
 
 from __future__ import annotations
 
-import threading
 import time
 from collections.abc import Iterator, Mapping
 from typing import Literal
 
-from repro.concurrency import shared_state
 from repro.errors import QueryError, UnknownRelationError
 from repro.observability import NULL_SPAN, current_fingerprint, get_tracer
 from repro.resilience.deadline import current_deadline
@@ -80,7 +79,6 @@ Strategy = Literal["auto", "program", "reduced"]
 STRATEGIES: tuple[Strategy, ...] = ("auto", "program", "reduced")
 
 
-@shared_state("_programs", "_reduced", "_preludes", lock="_cache_lock")
 class QueryEvaluator:
     """Evaluates conjunctive queries against a :class:`Database`.
 
@@ -96,14 +94,6 @@ class QueryEvaluator:
     evaluator it builds).
     """
 
-    #: Default soft cap on cached query entries (programs, reductions,
-    #: preludes).  The evaluator outlives requests on the citation engine, so
-    #: without a bound a long-lived service answering diverse ad-hoc queries
-    #: would pin one prelude snapshot (materialised candidate rows + bucket
-    #: plans) per distinct query forever; beyond the cap the oldest entries
-    #: are evicted FIFO and simply recompute on next use.
-    DEFAULT_MAX_CACHED_QUERIES = 512
-
     def __init__(
         self,
         database: Database,
@@ -114,7 +104,6 @@ class QueryEvaluator:
         statistics: StatisticsCatalog | None = None,
         cost_model: CostModel | None = None,
         metrics: EvaluationMetrics | None = None,
-        max_cached_queries: int = DEFAULT_MAX_CACHED_QUERIES,
     ) -> None:
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -133,26 +122,6 @@ class QueryEvaluator:
         )
         self.cost_model = cost_model if cost_model is not None else CostModel(self.statistics)
         self.metrics = metrics
-        self.max_cached_queries = max_cached_queries
-        # The engine shares one evaluator across cite_many's thread pool, so
-        # the query-keyed caches are guarded: the FIFO eviction below
-        # (iterate + pop) and the identity-pairing stores race destructively
-        # without it.  RLock because the store helpers call each other.
-        # Compilation/reduction runs outside the lock (pure; duplicate work
-        # races benignly, first store wins and keeps identity pairing).
-        self._cache_lock = threading.RLock()
-        self._programs: dict[ConjunctiveQuery, JoinProgram] = {}
-        self._reduced: dict[ConjunctiveQuery, ReducedProgram] = {}
-        self._preludes: dict[ConjunctiveQuery, PreludeCache] = {}
-
-    def _bound_locked(self, cache: dict) -> None:
-        """Evict oldest entries beyond :attr:`max_cached_queries` (FIFO).
-
-        Caller holds :attr:`_cache_lock` — iterating while another thread
-        inserts would raise ``RuntimeError`` otherwise.
-        """
-        while len(cache) > self.max_cached_queries:
-            cache.pop(next(iter(cache)))
 
     # -- relation resolution ------------------------------------------------
     def _relation_for(self, predicate: str) -> Relation:
@@ -179,92 +148,12 @@ class QueryEvaluator:
 
     # -- compilation --------------------------------------------------------
     def compile(self, query: ConjunctiveQuery) -> JoinProgram:
-        """The compiled join program for *query* (cached per evaluator)."""
-        return self._program_for(query, self._resolve_relations(query))
+        """The compiled join program for *query* (compiled afresh per call)."""
+        return compile_query(query, self._resolve_relations(query))
 
     def reduce(self, query: ConjunctiveQuery) -> ReducedProgram:
-        """The semi-join-reduced program for *query* (cached per evaluator)."""
-        return self.reduction_of(query, self.compile(query))
-
-    def reduction_of(
-        self, query: ConjunctiveQuery, program: JoinProgram
-    ) -> ReducedProgram:
-        """The reduction wrapping exactly *program*.
-
-        Served from (and stored in) the per-evaluator cache when *program* is
-        the evaluator's own compile of *query* — a reduction of a different
-        (e.g. caller-recompiled) program is built fresh and never cached, so
-        a cached analysis of an older compile, whose variable→slot layout may
-        differ, can never be paired with the wrong program.
-        """
-        with self._cache_lock:
-            cached = self._reduced.get(query)
-        if cached is not None and cached.program is program:
-            return cached
-        reduced = reduce_program(program)
-        with self._cache_lock:
-            if self._programs.get(query) is program:
-                existing = self._reduced.get(query)
-                if existing is not None and existing.program is program:
-                    return existing
-                self._reduced[query] = reduced
-                self._bound_locked(self._reduced)
-        return reduced
-
-    def prelude_for(
-        self, query: ConjunctiveQuery, reduced: ReducedProgram
-    ) -> PreludeCache:
-        """The warm-prelude cache for *query*'s reduction.
-
-        Cached per evaluator while *reduced* is the evaluator's own cached
-        reduction (the citation engine shares the returned object with its
-        compiled plans, so serving traffic and direct ``cite()`` calls warm
-        the same state).
-        """
-        with self._cache_lock:
-            prelude = self._preludes.get(query)
-            if prelude is not None and prelude.reduced is reduced:
-                return prelude
-            prelude = PreludeCache(reduced, metrics=self.metrics)
-            if self._reduced.get(query) is reduced:
-                self._preludes[query] = prelude
-                self._bound_locked(self._preludes)
-        return prelude
-
-    def _program_for(
-        self, query: ConjunctiveQuery, relations: Mapping[str, Relation]
-    ) -> JoinProgram:
-        with self._cache_lock:
-            program = self._programs.get(query)
-        if program is None:
-            program = compile_query(query, relations)
-            with self._cache_lock:
-                # setdefault keeps one canonical program per query: callers
-                # pair reductions/preludes by object identity, so a racing
-                # second compile must adopt the first thread's program.
-                program = self._programs.setdefault(query, program)
-                self._bound_locked(self._programs)
-        return program
-
-    # -- cache control -------------------------------------------------------
-    def invalidate_caches(self) -> None:
-        """Drop compiled programs, reductions, warm preludes and statistics.
-
-        Programs and reductions are pure description and never go stale —
-        this exists for forced invalidation
-        (:meth:`~repro.core.engine.CitationEngine.invalidate_caches`) and for
-        benchmarks that want a guaranteed cold run.
-        """
-        with self._cache_lock:
-            self._programs.clear()
-            self._reduced.clear()
-            self._preludes.clear()
-        self.statistics.invalidate()
-
-    def invalidate_preludes(self) -> None:
-        """Drop only the warm-prelude state (next evaluations run cold)."""
-        with self._cache_lock:
-            self._preludes.clear()
+        """The semi-join-reduced program for *query* (built afresh per call)."""
+        return reduce_program(self.compile(query))
 
     # -- strategy selection --------------------------------------------------
     def select_strategy(
@@ -276,22 +165,20 @@ class QueryEvaluator:
         through the cost model, so the answer can change as the data drifts.
         """
         relations = self._resolve_relations(query)
-        program = self._program_for(query, relations)
+        program = compile_query(query, relations)
         # Pure introspection: resolve without recording picks or estimates,
         # so polling this for monitoring never skews the serving metrics.
         executor, _reason, _estimate = self._executor(
-            query, relations, program, None, None, record=False
+            relations, program, None, None, record=False
         )
         return "reduced" if isinstance(executor, ReducedProgram) else "program"
 
     def _executor(
         self,
-        query: ConjunctiveQuery,
         relations: Mapping[str, Relation],
         program: JoinProgram,
         reduced: ReducedProgram | None,
         strategy: Strategy | None,
-        cache: bool = True,
         prelude: PreludeCache | None = None,
         record: bool = True,
     ) -> tuple[JoinProgram | ReducedProgram, str, CostEstimate | None]:
@@ -315,32 +202,25 @@ class QueryEvaluator:
             # ones do run join_forest + a cost estimate per resolution; both
             # are O(atoms²)/O(atoms) over the tiny compiled description, and
             # the estimate's statistics are version-cached in the catalog —
-            # this is what keeps the non-caching evaluate_parameterized path
-            # affordable (measured low-microseconds per call).
+            # this is what keeps per-call compilation affordable (measured
+            # low-microseconds per call).
             if len(program.steps) < 2:
                 return self._picked(program, "single_atom", record)
         # The reduction must wrap exactly the program whose slot layout the
-        # caller will project frames with — a cached analysis of an older
-        # (differently ordered) compile of the same query must not be served.
+        # caller will project frames with — a reduction of another
+        # (differently ordered) compile of the same query must not run.
         if reduced is None or reduced.program is not program:
-            if cache:
-                # reduction_of re-checks the cache, builds outside the lock
-                # and only stores an analysis of the evaluator's own program.
-                reduced = self.reduction_of(query, program)
-            else:
-                reduced = reduce_program(program)
+            reduced = reduce_program(program)
         if strategy == "reduced":
             return self._picked(reduced, "forced", record)
         if not reduced.acyclic:
             return self._picked(program, "cyclic", record)
         # Warm state makes the prelude free: always run reduced on a hit.
-        warm = prelude if prelude is not None and prelude.reduced is reduced else None
-        if warm is None and cache:
-            with self._cache_lock:
-                cached_prelude = self._preludes.get(query)
-            if cached_prelude is not None and cached_prelude.reduced is reduced:
-                warm = cached_prelude
-        if warm is not None and warm.is_warm(relations):
+        if (
+            prelude is not None
+            and prelude.reduced is reduced
+            and prelude.is_warm(relations)
+        ):
             return self._picked(reduced, "warm_prelude", record)
         estimate = self.cost_model.estimate(reduced, relations)
         if record and self.metrics is not None:
@@ -366,20 +246,17 @@ class QueryEvaluator:
         self,
         executor: JoinProgram | ReducedProgram,
         relations: Mapping[str, Relation],
-        query: ConjunctiveQuery,
         prelude: PreludeCache | None,
-        cache: bool = True,
         profile: JoinProfile | None = None,
         cancel=None,
     ) -> Iterator[tuple]:
         """Run *executor*, threading warm-prelude state into reduced runs.
 
-        *cancel* (a zero-arg checkpoint callable) flows through to the
-        prelude passes and the per-row join loops.
+        A prelude built for a different reduction is ignored (the run is
+        cold).  *cancel* (a zero-arg checkpoint callable) flows through to
+        the prelude passes and the per-row join loops.
         """
         if isinstance(executor, ReducedProgram):
-            if prelude is None or prelude.reduced is not executor:
-                prelude = self.prelude_for(query, executor) if cache else None
             return executor.run_frames(
                 relations, self.index_manager, self.use_indexes, prelude, profile,
                 cancel=cancel,
@@ -470,15 +347,13 @@ class QueryEvaluator:
             deadline.check("bindings.start")
         relations = self._resolve_relations(query)
         if program is None:
-            program = self._program_for(query, relations)
+            program = compile_query(query, relations)
         executor, reason, estimate = self._executor(
-            query, relations, program, reduced, strategy, prelude=prelude
+            relations, program, reduced, strategy, prelude=prelude
         )
         variables = program.variables
         cancel = deadline.checker("join") if deadline is not None else None
-        for frame in self._frames_for(
-            executor, relations, query, prelude, cancel=cancel
-        ):
+        for frame in self._frames_for(executor, relations, prelude, cancel=cancel):
             yield dict(zip(variables, frame))
 
     # -- public API -------------------------------------------------------------
@@ -501,25 +376,14 @@ class QueryEvaluator:
         self, query: ConjunctiveQuery, strategy: Strategy | None = None
     ) -> Relation:
         """Evaluate *query* and return its answer relation (set semantics)."""
-        return self._evaluate(query, cache_program=True, strategy=strategy)
-
-    def _evaluate(
-        self,
-        query: ConjunctiveQuery,
-        cache_program: bool,
-        strategy: Strategy | None = None,
-    ) -> Relation:
         schema = result_schema(query)
         deadline = current_deadline()
         if deadline is not None:
             deadline.check("evaluate.start")
         relations = self._resolve_relations(query)
-        if cache_program:
-            program = self._program_for(query, relations)
-        else:
-            program = compile_query(query, relations)
+        program = compile_query(query, relations)
         executor, reason, estimate = self._executor(
-            query, relations, program, None, strategy, cache=cache_program
+            relations, program, None, strategy
         )
         kind = "reduced" if isinstance(executor, ReducedProgram) else "program"
         span, profile = self._evaluation_span(
@@ -533,8 +397,7 @@ class QueryEvaluator:
             answers = {
                 output_row(frame)
                 for frame in self._frames_for(
-                    executor, relations, query, None, cache=cache_program,
-                    profile=profile, cancel=cancel,
+                    executor, relations, None, profile=profile, cancel=cancel
                 )
             }
             elapsed = time.perf_counter() - started if timed else 0.0
@@ -562,9 +425,9 @@ class QueryEvaluator:
             deadline.check("evaluate.start")
         relations = self._resolve_relations(query)
         if program is None:
-            program = self._program_for(query, relations)
+            program = compile_query(query, relations)
         executor, reason, estimate = self._executor(
-            query, relations, program, reduced, strategy, prelude=prelude
+            relations, program, reduced, strategy, prelude=prelude
         )
         kind = "reduced" if isinstance(executor, ReducedProgram) else "program"
         span, profile = self._evaluation_span(
@@ -577,7 +440,7 @@ class QueryEvaluator:
             started = time.perf_counter() if timed else 0.0
             out: dict[tuple, list[Binding]] = {}
             for frame in self._frames_for(
-                executor, relations, query, prelude, profile=profile, cancel=cancel
+                executor, relations, prelude, profile=profile, cancel=cancel
             ):
                 out.setdefault(program.output_row(frame), []).append(
                     dict(zip(variables, frame))
@@ -617,12 +480,7 @@ class QueryEvaluator:
                     f"missing value for parameter {param.name!r} of query {query.name!r}"
                 )
             substitution[param] = Constant(value)
-        # Substituted queries embed the per-call constants, so caching their
-        # programs would retain one entry per distinct parameter valuation on
-        # a long-lived evaluator — compile without caching instead.
-        return self._evaluate(
-            query.substitute(substitution), cache_program=False, strategy=strategy
-        )
+        return self.evaluate(query.substitute(substitution), strategy=strategy)
 
 
 def result_schema(query: ConjunctiveQuery) -> RelationSchema:

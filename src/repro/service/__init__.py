@@ -10,8 +10,8 @@ the "citation as a service" workload:
 * :mod:`repro.service.service` — the :class:`CitationService` facade: one
   ``submit()`` / ``submit_batch()`` path routing
   :class:`~repro.api.envelope.CitationRequest` envelopes to registered
-  :class:`~repro.api.backend.CitationBackend` adapters (plus the legacy
-  conjunctive-query entry points);
+  :class:`~repro.api.backend.CitationBackend` adapters (plus the
+  ``cite``/``plan_for`` conjunctive-query conveniences);
 * :mod:`repro.service.metrics` — global and per-backend counters and latency
   histograms surfaced by :meth:`CitationService.stats`.
 
@@ -26,7 +26,7 @@ from repro.service.explain import ExplainReport
 from repro.service.fingerprint import are_isomorphic, canonical_key, fingerprint
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.plan_cache import CacheInfo, GenerationalLRU, PlanCache
-from repro.service.service import CitationService, ServiceResponse
+from repro.service.service import CitationService
 
 __all__ = [
     "CitationPlan",
@@ -36,7 +36,6 @@ __all__ = [
     "BackendCapabilities",
     "BackendRegistry",
     "CitationService",
-    "ServiceResponse",
     "ServiceMetrics",
     "LatencyHistogram",
     "ExplainReport",

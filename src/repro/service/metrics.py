@@ -10,7 +10,7 @@ CLI and the benchmarks print it verbatim.
 Histograms use exponential bucket boundaries in milliseconds; percentiles are
 estimated as the upper bound of the bucket containing the requested quantile
 (the usual Prometheus-style estimate), with the true maximum tracked exactly.
-Everything is thread-safe: ``cite_many`` observes from worker threads.
+Everything is thread-safe: ``submit_batch`` observes from worker threads.
 """
 
 from __future__ import annotations

@@ -27,10 +27,10 @@ serving-layer machinery:
   (:mod:`repro.service.metrics`); :meth:`CitationService.stats` returns a
   JSON-friendly snapshot.
 
-The pre-redesign conjunctive-query methods (:meth:`cite`, :meth:`try_cite`,
-:meth:`cite_batch`, :meth:`cite_many`, :meth:`plan_for`, :meth:`warm`) remain
-as thin wrappers that build a relational-backend request and go through the
-same ``submit`` path.
+:meth:`submit` and :meth:`submit_batch` are the only serving entry points.
+Two conjunctive-query conveniences build a relational-backend request:
+:meth:`cite` (``submit`` plus ``unwrap``) and :meth:`plan_for` (the cached
+or compiled plan, for introspecting plan-cache hits).
 
 Mutations may arrive between requests (the caches notice via the validity
 tokens) but must not race a request mid-flight — the usual reader/writer
@@ -44,8 +44,8 @@ import contextvars
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from dataclasses import replace
+from collections.abc import Callable, Hashable, Sequence
 from typing import Any
 
 from repro.analysis.diagnostics import AnalysisReport
@@ -78,35 +78,7 @@ from repro.service.explain import ExplainReport
 from repro.service.metrics import ServiceMetrics
 from repro.service.plan_cache import GenerationalLRU, PlanCache
 
-__all__ = ["CitationService", "ServiceResponse"]
-
-
-@dataclass
-class ServiceResponse:
-    """Outcome of one request served by the legacy conjunctive-query methods.
-
-    Exactly one of :attr:`result` / :attr:`error` is set.  ``cached`` is true
-    when no evaluation ran for this request (result-cache hit or within-batch
-    deduplication onto another request's execution).
-    """
-
-    query: ConjunctiveQuery | str
-    result: CitedResult | None = None
-    error: Exception | None = None
-    elapsed: float = 0.0
-    cached: bool = False
-    fingerprint: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def unwrap(self) -> CitedResult:
-        """Return the result, re-raising the stored error on failure."""
-        if self.error is not None:
-            raise self.error
-        assert self.result is not None
-        return self.result
+__all__ = ["CitationService"]
 
 
 class CitationService:
@@ -336,7 +308,6 @@ class CitationService:
         self,
         requests: Sequence[CitationRequest],
         timeout: float | None = None,
-        max_workers: int | None = None,
     ) -> list[CitationResponse]:
         """Serve a batch concurrently with deduplication and error isolation.
 
@@ -352,33 +323,18 @@ class CitationService:
         CPU to completion in the background; only workers blocked outside
         the engine's cancellation checkpoints fall back to the synthesised
         pool-timeout response.  The response list is positionally aligned
-        with *requests*.
+        with *requests*.  The batch runs on the service's request pool,
+        sized at construction (``max_workers``).
         """
         self._ensure_open()
         self.metrics.increment("batch_requests")
-        if max_workers is not None and max_workers != self.max_workers:
-            with self._batch_pool(max_workers) as executor:
-                return self._submit_deduplicated(requests, executor, timeout)
-        return self._submit_deduplicated(requests, self._pool(), timeout)
+        return self._submit_deduplicated(requests, timeout)
 
-    # -- legacy conjunctive-query entry points ---------------------------------
+    # -- conjunctive-query conveniences ----------------------------------------
     def _cq_request(
         self, query: ConjunctiveQuery | str, mode: Mode | None
     ) -> CitationRequest:
         return CitationRequest(query=query, backend="relational", mode=mode)
-
-    @staticmethod
-    def _to_service_response(
-        response: CitationResponse, query: ConjunctiveQuery | str
-    ) -> ServiceResponse:
-        return ServiceResponse(
-            query=query,
-            result=response.result,
-            error=response.error,
-            elapsed=response.elapsed,
-            cached=response.cached,
-            fingerprint=response.fingerprint,
-        )
 
     def cite(
         self, query: ConjunctiveQuery | str, mode: Mode | None = None
@@ -392,14 +348,6 @@ class CitationService:
         """
         return self.submit(self._cq_request(query, mode)).unwrap()
 
-    def try_cite(
-        self, query: ConjunctiveQuery | str, mode: Mode | None = None
-    ) -> ServiceResponse:
-        """Like :meth:`cite` but never raises: errors ride in the response."""
-        return self._to_service_response(
-            self.submit(self._cq_request(query, mode)), query
-        )
-
     def plan_for(
         self, query: ConjunctiveQuery | str, mode: Mode | None = None
     ) -> tuple[CitationPlan, bool]:
@@ -409,60 +357,6 @@ class CitationService:
         parsed = backend.parse(request)
         key = backend.fingerprint(parsed, request)
         return self._plan(backend, request, parsed, key)
-
-    def warm(
-        self, queries: Iterable[ConjunctiveQuery | str], mode: Mode | None = None
-    ) -> int:
-        """Precompile plans for an expected workload; return the plan count."""
-        compiled = 0
-        for query in queries:
-            _plan, hit = self.plan_for(query, mode)
-            compiled += 0 if hit else 1
-        return compiled
-
-    def cite_batch(
-        self, queries: Sequence[ConjunctiveQuery | str], mode: Mode | None = None
-    ) -> list[CitedResult]:
-        """Serve a batch sequentially, deduplicating identical queries.
-
-        Structurally identical queries inside the batch (same fingerprint and
-        mode) are executed once; the other members receive the same citations
-        rebound to their own query text.  Errors propagate — use
-        :meth:`cite_many` for error isolation.
-        """
-        self._ensure_open()
-        self.metrics.increment("batch_requests")
-        requests = [self._cq_request(query, mode) for query in queries]
-        responses = self._submit_deduplicated(requests, executor=None, timeout=None)
-        return [response.unwrap() for response in responses]
-
-    def cite_many(
-        self,
-        queries: Sequence[ConjunctiveQuery | str],
-        mode: Mode | None = None,
-        timeout: float | None = None,
-        max_workers: int | None = None,
-    ) -> list[ServiceResponse]:
-        """Serve a batch concurrently with per-request isolation.
-
-        The conjunctive-query face of :meth:`submit_batch`: distinct query
-        shapes run in parallel on a thread pool, duplicates within the batch
-        share one execution, and a request that raises yields a response
-        carrying the error.  The response list is positionally aligned with
-        *queries*.
-        """
-        self._ensure_open()
-        self.metrics.increment("batch_requests")
-        requests = [self._cq_request(query, mode) for query in queries]
-        if max_workers is not None and max_workers != self.max_workers:
-            with self._batch_pool(max_workers) as executor:
-                responses = self._submit_deduplicated(requests, executor, timeout)
-        else:
-            responses = self._submit_deduplicated(requests, self._pool(), timeout)
-        return [
-            self._to_service_response(response, query)
-            for response, query in zip(responses, queries)
-        ]
 
     # -- cache control ---------------------------------------------------------
     def invalidate(self) -> None:
@@ -556,27 +450,6 @@ class CitationService:
                     thread_name_prefix="citation-service",
                 )
             return self._executor
-
-    @contextlib.contextmanager
-    def _batch_pool(self, max_workers: int):
-        """An ad-hoc pool for one batch with an explicit worker override.
-
-        Shut down with ``wait=False``: the batch *timeout* is a **response
-        deadline**, so the call must return the moment every response is
-        decided.  A ``with ThreadPoolExecutor(...)`` block would block on
-        exit until timed-out stragglers finish — with ``timeout=2`` and one
-        hung backend the batch would not return for the straggler's full
-        runtime.  Letting stragglers finish in the background is safe: a
-        straggler only writes through to the token-stamped result cache,
-        exactly like the persistent pool's documented behaviour.
-        """
-        executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="citation-batch"
-        )
-        try:
-            yield executor
-        finally:
-            executor.shutdown(wait=False)
 
     def _cache_key(
         self, backend: CitationBackend, key: str, request: CitationRequest
@@ -919,17 +792,14 @@ class CitationService:
     def _submit_deduplicated(
         self,
         requests: Sequence[CitationRequest],
-        executor: ThreadPoolExecutor | None,
         timeout: float | None,
     ) -> list[CitationResponse]:
         tracer = self.tracer()
         if not tracer.enabled:
-            return self._submit_deduplicated_inner(
-                requests, executor, timeout, propagate=False
-            )
+            return self._submit_deduplicated_inner(requests, timeout, propagate=False)
         with tracer.span("service.batch", size=len(requests)) as span:
             responses = self._submit_deduplicated_inner(
-                requests, executor, timeout, propagate=True
+                requests, timeout, propagate=True
             )
             span.set_attribute(
                 "errors", sum(1 for response in responses if not response.ok)
@@ -939,10 +809,10 @@ class CitationService:
     def _submit_deduplicated_inner(
         self,
         requests: Sequence[CitationRequest],
-        executor: ThreadPoolExecutor | None,
         timeout: float | None,
         propagate: bool,
     ) -> list[CitationResponse]:
+        executor = self._pool()
         batch_started = time.monotonic()
         batch_deadline = (
             None if timeout is None else Deadline(batch_started + timeout)
@@ -985,7 +855,7 @@ class CitationService:
             groups.setdefault(cache_key, []).append(index)
             group_keys[cache_key] = key
 
-        # Concurrent (or inline) execution of one representative per group,
+        # Concurrent execution of one representative per group,
         # reusing the routing, parse and fingerprint work done while grouping.
         representatives = {
             cache_key: members[0] for cache_key, members in groups.items()
@@ -1039,70 +909,64 @@ class CitationService:
                 )
                 return failed
 
-        if executor is None:
-            outcomes = {
-                cache_key: serve_representative(cache_key, index)
+        deadline = None if timeout is None else batch_started + timeout
+        if propagate:
+            # Thread pools do not inherit contextvars, so the batch span
+            # (and any use_tracer override) would be invisible to the
+            # workers; ship each representative a copy of this context.
+            # Skipped with tracing off — a context copy per request is
+            # pure overhead then.
+            futures: dict[Hashable, Future] = {
+                cache_key: submit_representative(
+                    (contextvars.copy_context().run, serve_representative),
+                    cache_key,
+                    index,
+                )
                 for cache_key, index in representatives.items()
             }
         else:
-            deadline = None if timeout is None else batch_started + timeout
-            if propagate:
-                # Thread pools do not inherit contextvars, so the batch span
-                # (and any use_tracer override) would be invisible to the
-                # workers; ship each representative a copy of this context.
-                # Skipped with tracing off — a context copy per request is
-                # pure overhead then.
-                futures: dict[Hashable, Future] = {
-                    cache_key: submit_representative(
-                        (contextvars.copy_context().run, serve_representative),
-                        cache_key,
-                        index,
-                    )
-                    for cache_key, index in representatives.items()
-                }
-            else:
-                futures = {
-                    cache_key: submit_representative(
-                        (serve_representative,), cache_key, index
-                    )
-                    for cache_key, index in representatives.items()
-                }
-            outcomes = {}
-            for cache_key, future in futures.items():
-                remaining = (
-                    None if deadline is None else max(0.0, deadline - time.monotonic())
+            futures = {
+                cache_key: submit_representative(
+                    (serve_representative,), cache_key, index
                 )
-                try:
-                    outcomes[cache_key] = future.result(timeout=remaining)
-                    continue
-                except TimeoutError:
-                    pass
-                # The worker saw the same deadline and its cancellation
-                # checkpoints are already unwinding it; grant one short,
-                # batch-wide grace so it can come home with its real
-                # DeadlineExceeded response (counted once) before we
-                # synthesise a pool-timeout response on its behalf.
-                grace = max(
-                    0.0, deadline + self._BATCH_CANCEL_GRACE - time.monotonic()
-                )
-                try:
-                    outcomes[cache_key] = future.result(timeout=grace)
-                    continue
-                except TimeoutError:
-                    pass
-                self.metrics.increment("timeouts")
-                index = representatives[cache_key]
-                timeout_error = TimeoutError(
-                    f"citation request missed the batch deadline of "
-                    f"{timeout:.3f}s"
-                )
-                outcomes[cache_key] = CitationResponse(
-                    request=stamped[index],
-                    error=timeout_error,
-                    error_code=error_code_for(timeout_error),
-                    elapsed=time.monotonic() - batch_started,
-                    fingerprint=group_keys[cache_key],
-                )
+                for cache_key, index in representatives.items()
+            }
+        outcomes = {}
+        for cache_key, future in futures.items():
+            remaining = (
+                None if deadline is None else max(0.0, deadline - time.monotonic())
+            )
+            try:
+                outcomes[cache_key] = future.result(timeout=remaining)
+                continue
+            except TimeoutError:
+                pass
+            # The worker saw the same deadline and its cancellation
+            # checkpoints are already unwinding it; grant one short,
+            # batch-wide grace so it can come home with its real
+            # DeadlineExceeded response (counted once) before we
+            # synthesise a pool-timeout response on its behalf.
+            grace = max(
+                0.0, deadline + self._BATCH_CANCEL_GRACE - time.monotonic()
+            )
+            try:
+                outcomes[cache_key] = future.result(timeout=grace)
+                continue
+            except TimeoutError:
+                pass
+            self.metrics.increment("timeouts")
+            index = representatives[cache_key]
+            timeout_error = TimeoutError(
+                f"citation request missed the batch deadline of "
+                f"{timeout:.3f}s"
+            )
+            outcomes[cache_key] = CitationResponse(
+                request=stamped[index],
+                error=timeout_error,
+                error_code=error_code_for(timeout_error),
+                elapsed=time.monotonic() - batch_started,
+                fingerprint=group_keys[cache_key],
+            )
 
         for cache_key, members in groups.items():
             outcome = outcomes[cache_key]

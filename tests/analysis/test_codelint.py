@@ -331,11 +331,9 @@ class TestRepoGate:
             "_analysis_cache": "_analysis_lock",
             "_analysis_stats": "_analysis_lock",
         }
-        assert declared_shared_state(QueryEvaluator) == {
-            "_programs": "_cache_lock",
-            "_reduced": "_cache_lock",
-            "_preludes": "_cache_lock",
-        }
+        # The evaluator holds no per-query state (plans own compiled
+        # artifacts), so it declares nothing shared.
+        assert declared_shared_state(QueryEvaluator) == {}
         assert set(declared_shared_state(ServiceMetrics)) == {
             "_counters", "_histograms", "_gauge_sources",
         }

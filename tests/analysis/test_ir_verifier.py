@@ -14,6 +14,8 @@ import dataclasses
 
 import pytest
 
+from strategies import HeldQuery
+
 from repro import CitationEngine, parse_query
 from repro.analysis.ir import (
     verify_citation_plan,
@@ -57,17 +59,25 @@ def codes(report):
     return sorted({diagnostic.code for diagnostic in report})
 
 
+def warm_prelude(evaluator, query):
+    """Compile *query*, reduce it and warm a prelude for it.
+
+    Evaluates twice through the prelude: the second pass caches the bucket
+    plan on the snapshot.
+    """
+    held = HeldQuery(evaluator, query)
+    held.rows(strategy="reduced")
+    held.rows(strategy="reduced")
+    return held.program, held.reduced, held.prelude
+
+
 # ---------------------------------------------------------------------------
 # Clean compiler output verifies clean
 # ---------------------------------------------------------------------------
 class TestCleanArtifacts:
     def test_program_reduction_and_prelude_verify_clean(self, evaluator):
-        program = evaluator.compile(CHAIN)
-        reduced = evaluator.reduction_of(CHAIN, program)
-        prelude = evaluator.prelude_for(CHAIN, reduced)
-        # Warm the prelude (twice: the second pass caches the bucket plan).
-        evaluator.evaluate(CHAIN, strategy="reduced")
-        evaluator.evaluate(CHAIN, strategy="reduced")
+        program, reduced, prelude = warm_prelude(evaluator, CHAIN)
+        assert prelude._snapshot is not None and prelude._snapshot.plan is not None
         assert not list(verify_program(program))
         assert not list(verify_reduced(reduced))
         assert not list(verify_prelude(prelude))
@@ -76,13 +86,13 @@ class TestCleanArtifacts:
         query = parse_query('Q(X) :- R(X, Y), S(Y, "3"), X = "1"')
         program = evaluator.compile(query)
         assert not list(verify_program(program))
-        assert not list(verify_reduced(evaluator.reduction_of(query, program)))
+        assert not list(verify_reduced(reduce_program(program)))
 
     def test_self_join_verifies_clean(self, evaluator):
         query = parse_query("Q(X, Z) :- R(X, Y), R(Y, Z)")
         program = evaluator.compile(query)
         assert not list(verify_program(program))
-        assert not list(verify_reduced(evaluator.reduction_of(query, program)))
+        assert not list(verify_reduced(reduce_program(program)))
 
     def test_repeated_variable_within_atom_verifies_clean(self, evaluator):
         query = parse_query("Q(X) :- R(X, X)")
@@ -125,8 +135,7 @@ class TestSeededMutations:
         assert "I001" in codes(verify_program(mutated))
 
     def test_dropped_reduction_fields_are_i006(self, evaluator):
-        program = evaluator.compile(CHAIN)
-        reduced = evaluator.reduction_of(CHAIN, program)
+        reduced = reduce_program(evaluator.compile(CHAIN))
         target = next(
             index
             for index, reduction in enumerate(reduced.reductions)
@@ -138,13 +147,13 @@ class TestSeededMutations:
         assert codes(verify_reduced(mutated)) == ["I006"]
 
     def test_flipped_acyclic_flag_is_i005(self, evaluator):
-        reduced = evaluator.reduction_of(CHAIN, evaluator.compile(CHAIN))
+        reduced = reduce_program(evaluator.compile(CHAIN))
         assert reduced.acyclic and reduced.semi_joins
         mutated = dataclasses.replace(reduced, acyclic=False)
         assert codes(verify_reduced(mutated)) == ["I005"]
 
     def test_reordered_semi_joins_are_i005(self, evaluator):
-        reduced = evaluator.reduction_of(CHAIN, evaluator.compile(CHAIN))
+        reduced = reduce_program(evaluator.compile(CHAIN))
         assert len(reduced.semi_joins) >= 2
         mutated = dataclasses.replace(
             reduced, semi_joins=tuple(reversed(reduced.semi_joins))
@@ -152,11 +161,7 @@ class TestSeededMutations:
         assert "I005" in codes(verify_reduced(mutated))
 
     def test_stale_bucket_plan_is_i007(self, evaluator):
-        program = evaluator.compile(CHAIN)
-        reduced = evaluator.reduction_of(CHAIN, program)
-        prelude = evaluator.prelude_for(CHAIN, reduced)
-        evaluator.evaluate(CHAIN, strategy="reduced")
-        evaluator.evaluate(CHAIN, strategy="reduced")
+        _program, _reduced, prelude = warm_prelude(evaluator, CHAIN)
         snapshot = prelude._snapshot
         assert snapshot is not None and snapshot.plan is not None
         # Replace one plan entry's step with an equal-but-distinct copy: the
@@ -177,6 +182,21 @@ class TestSeededMutations:
 # ---------------------------------------------------------------------------
 # Engine integration: the verify_plans knob
 # ---------------------------------------------------------------------------
+def corrupt_compile(monkeypatch):
+    """Make every compile behind the engine's plans write slot 99."""
+    original = QueryEvaluator.compile
+
+    def corrupting_compile(self, query):
+        program = original(self, query)
+        step = program.steps[-1]
+        bad = dataclasses.replace(
+            step, writes=tuple((position, 99) for position, _slot in step.writes)
+        )
+        return dataclasses.replace(program, steps=(*program.steps[:-1], bad))
+
+    monkeypatch.setattr(QueryEvaluator, "compile", corrupting_compile)
+
+
 class TestEngineKnob:
     def test_suite_engines_verify_strictly(self, paper_engine):
         # conftest flips the class default to "strict" for the whole suite,
@@ -201,21 +221,11 @@ class TestEngineKnob:
         with pytest.raises(CitationError):
             CitationEngine(paper_db, paper_views, verify_plans="always")
 
-    def test_strict_raises_on_corrupted_program(self, paper_db, paper_views, paper_query):
+    def test_strict_raises_on_corrupted_program(
+        self, paper_db, paper_views, paper_query, monkeypatch
+    ):
         engine = CitationEngine(paper_db, paper_views, verify_plans="strict")
-        evaluator = engine._execution_evaluator()
-        original = evaluator.compile
-
-        def corrupting_compile(query):
-            program = original(query)
-            step = program.steps[-1]
-            bad = dataclasses.replace(
-                step, writes=tuple((position, 99) for position, _slot in step.writes)
-            )
-            return dataclasses.replace(program, steps=(*program.steps[:-1], bad))
-
-        evaluator.compile = corrupting_compile
-        evaluator.invalidate_caches()
+        corrupt_compile(monkeypatch)
         with pytest.raises(PlanVerificationError) as excinfo:
             engine.compile_plan(paper_query)
         assert excinfo.value.diagnostics
@@ -223,23 +233,15 @@ class TestEngineKnob:
         stats = engine.analysis_stats()
         assert stats["verify_violations"] >= 1
 
-    def test_warn_reports_but_does_not_raise(self, paper_db, paper_views, paper_query):
+    def test_warn_reports_but_does_not_raise(
+        self, paper_db, paper_views, paper_query, monkeypatch
+    ):
         engine = CitationEngine(paper_db, paper_views, verify_plans="warn")
-        evaluator = engine._execution_evaluator()
-        original = evaluator.compile
-
-        def corrupting_compile(query):
-            program = original(query)
-            step = program.steps[-1]
-            bad = dataclasses.replace(
-                step, writes=tuple((position, 99) for position, _slot in step.writes)
-            )
-            return dataclasses.replace(program, steps=(*program.steps[:-1], bad))
-
-        evaluator.compile = corrupting_compile
-        evaluator.invalidate_caches()
+        corrupt_compile(monkeypatch)
         plan = engine.compile_plan(paper_query)
         assert plan is not None
+        # The corrupted program is the one the plan holds (one construction path).
+        assert "I003" in codes(engine.verify_plan(plan))
         stats = engine.analysis_stats()
         assert stats["plans_verified"] >= 1
         assert stats["verify_violations"] >= 1
@@ -264,12 +266,19 @@ class TestEngineKnob:
         other = paper_engine.compile_plan(other_query)
         paper_engine.execute_plan(plan)
         paper_engine.execute_plan(other)
-        # Corrupt: graft a program compiled for a different rewriting.
-        foreign = other.compiled_program(0)
-        assert foreign is not None
-        plan._programs[0] = foreign
-        report = verify_citation_plan(plan)
-        assert report.has_errors
+        own, foreign = plan.compiled(0), other.compiled(0)
+        assert own is not None and foreign is not None
+        # Graft the whole entry compiled for a different rewriting.
+        plan._compiled[0] = foreign
+        assert "I004" in codes(verify_citation_plan(plan))
+        # Graft a foreign program under the plan's own reduction.
+        plan._compiled[0] = own._replace(program=foreign.program)
+        assert {"I004", "I006"} <= set(codes(verify_citation_plan(plan)))
+        # Graft a foreign reduction under the plan's own prelude.
+        plan._compiled[0] = own._replace(reduced=foreign.reduced)
+        assert {"I006", "I007"} <= set(codes(verify_citation_plan(plan)))
+        plan._compiled[0] = own
+        assert not list(verify_citation_plan(plan))
 
     def test_strict_via_cite_on_healthy_engine_is_silent(self, paper_engine, paper_query):
         result = paper_engine.cite(paper_query)

@@ -182,35 +182,33 @@ class TestCompiledJoinPrograms:
         # this test pins down for the production default.
         engine = CitationEngine(paper_db, paper_views, verify_plans="off")
         plan = engine.compile_plan(paper_query)
-        assert all(
-            plan.compiled_program(i) is None for i in range(len(plan.rewritings))
-        )
+        assert all(plan.compiled(i) is None for i in range(len(plan.rewritings)))
         engine.execute_plan(plan)
         assert all(
-            plan.compiled_program(i) is not None for i in range(len(plan.rewritings))
+            plan.compiled(i) is not None for i in range(len(plan.rewritings))
         )
 
     def test_repeated_execution_reuses_the_programs(self, paper_engine, paper_query):
         plan = paper_engine.compile_plan(paper_query)
         first = paper_engine.execute_plan(plan)
-        programs = [plan.compiled_program(i) for i in range(len(plan.rewritings))]
+        programs = [plan.compiled(i).program for i in range(len(plan.rewritings))]
         second = paper_engine.execute_plan(plan)
-        assert [
-            plan.compiled_program(i) for i in range(len(plan.rewritings))
-        ] == programs
+        assert all(
+            plan.compiled(i).program is program for i, program in enumerate(programs)
+        )
         assert first.result.rows == second.result.rows
 
     def test_programs_survive_data_changes(self, paper_engine, paper_query, paper_db):
         plan = paper_engine.compile_plan(paper_query)
         paper_engine.execute_plan(plan)
-        programs = [plan.compiled_program(i) for i in range(len(plan.rewritings))]
+        programs = [plan.compiled(i).program for i in range(len(plan.rewritings))]
         paper_db.insert("Family", (60, "Fresh", "d"))
         paper_db.insert("FamilyIntro", (60, "fresh intro"))
         result = paper_engine.execute_plan(plan)
         # Same program objects, fresh data.
-        assert [
-            plan.compiled_program(i) for i in range(len(plan.rewritings))
-        ] == programs
+        assert all(
+            plan.compiled(i).program is program for i, program in enumerate(programs)
+        )
         assert ("Fresh",) in result.result.rows
 
     def test_plans_with_programs_stay_equal_and_hashable(self, paper_engine, paper_query):
@@ -243,18 +241,17 @@ class TestReducedProgramsOnPlans:
         # attach the reduced programs eagerly at compile time.
         paper_engine = CitationEngine(paper_db, paper_views, verify_plans="off")
         plan = paper_engine.compile_plan(paper_query)
-        assert all(
-            plan.compiled_reduced(i) is None for i in range(len(plan.rewritings))
-        )
+        assert all(plan.compiled(i) is None for i in range(len(plan.rewritings)))
         paper_engine.execute_plan(plan)
-        reduced = [plan.compiled_reduced(i) for i in range(len(plan.rewritings))]
-        assert all(r is not None for r in reduced)
+        reduced = [plan.compiled(i).reduced for i in range(len(plan.rewritings))]
+        # The reduction wraps exactly the plan's program.
+        assert all(
+            r.program is plan.compiled(i).program for i, r in enumerate(reduced)
+        )
         # Rewritings over the citation views are acyclic conjunctive queries.
         assert all(r.acyclic for r in reduced)
         paper_engine.execute_plan(plan)
-        assert [
-            plan.compiled_reduced(i) for i in range(len(plan.rewritings))
-        ] == reduced
+        assert all(plan.compiled(i).reduced is r for i, r in enumerate(reduced))
 
     @pytest.mark.parametrize("strategy", ["program", "reduced", "auto"])
     def test_every_strategy_produces_the_same_citations(
@@ -285,31 +282,14 @@ class TestPreludesOnPlans:
     def test_execute_attaches_and_warms_preludes(self, reduced_engine, paper_query):
         paper_engine = reduced_engine
         plan = paper_engine.compile_plan(paper_query)
+        paper_engine.execute_plan(plan)
+        preludes = [plan.compiled(i).prelude for i in range(len(plan.rewritings))]
         assert all(
-            plan.compiled_prelude(i) is None for i in range(len(plan.rewritings))
+            p.reduced is plan.compiled(i).reduced for i, p in enumerate(preludes)
         )
         paper_engine.execute_plan(plan)
-        preludes = [
-            plan.compiled_prelude(i) for i in range(len(plan.rewritings))
-        ]
-        assert all(p is not None for p in preludes)
-        paper_engine.execute_plan(plan)
-        assert [
-            plan.compiled_prelude(i) for i in range(len(plan.rewritings))
-        ] == preludes
+        assert all(plan.compiled(i).prelude is p for i, p in enumerate(preludes))
         assert all(p.hits >= 1 for p in preludes)
-
-    def test_plan_preludes_are_shared_with_plain_cite(self, reduced_engine, paper_query):
-        # cite() compiles a fresh plan per call, but the warmed prelude is
-        # the evaluator's canonical one, so repeated cite() calls hit too.
-        paper_engine = reduced_engine
-        paper_engine.cite(paper_query)
-        plan = paper_engine.compile_plan(paper_query)
-        paper_engine.execute_plan(plan)
-        assert any(
-            plan.compiled_prelude(i).hits >= 1
-            for i in range(len(plan.rewritings))
-        )
 
     def test_data_drift_partially_refreshes_instead_of_recomputing(
         self, reduced_engine, paper_query, paper_db
@@ -322,12 +302,10 @@ class TestPreludesOnPlans:
         drifted = paper_engine.execute_plan(plan)
         assert ("Novel family",) in drifted.result.rows
         assert baseline.result.rows <= drifted.result.rows
-        preludes = [
-            plan.compiled_prelude(i) for i in range(len(plan.rewritings))
-        ]
+        preludes = [plan.compiled(i).prelude for i in range(len(plan.rewritings))]
         # The views re-materialise wholesale (new Relation objects), so the
         # refresh is a miss — but it reuses whatever did not change.
-        assert all(p.misses >= 1 for p in preludes if p is not None)
+        assert all(p.misses >= 1 for p in preludes)
 
     def test_strategy_metrics_surface_on_the_engine(self, paper_engine, paper_query):
         paper_engine.cite(paper_query)
@@ -342,36 +320,35 @@ class TestPreludesOnPlans:
 
 
 class TestInvalidationClearsWarmState:
-    """Regression: invalidate_caches() must retire every evaluator cache."""
+    """Regression: invalidate_caches() must retire every piece of warm state."""
 
     def test_invalidate_clears_the_evaluator_caches(self, paper_engine, paper_query):
+        # The evaluators hold no state of their own; what they read and the
+        # engine owns — the statistics catalog — must be dropped.
         paper_engine.cite(paper_query)
-        evaluator = paper_engine._evaluator
-        assert evaluator is not None and evaluator._programs
+        assert len(paper_engine._statistics) > 0
         paper_engine.invalidate_caches()
-        assert evaluator._programs == {}
-        assert evaluator._reduced == {}
-        assert evaluator._preludes == {}
         assert len(paper_engine._statistics) == 0
 
-    def test_stale_epoch_plans_drop_their_preludes(self, paper_engine, paper_query):
-        plan = paper_engine.compile_plan(paper_query)
-        paper_engine.execute_plan(plan)
-        warmed = [
-            plan.compiled_prelude(i) for i in range(len(plan.rewritings))
-        ]
-        assert any(p is not None for p in warmed)
-        paper_engine.invalidate_caches()
-        # The engine cannot reach the plan at invalidation time; the next
-        # execution notices the epoch bump and rebuilds the state cold.
-        result = paper_engine.execute_plan(plan)
-        rebuilt = [
-            plan.compiled_prelude(i) for i in range(len(plan.rewritings))
-        ]
-        assert all(
-            p is None or p is not w for p, w in zip(rebuilt, warmed)
-        )
-        assert result.result.rows == paper_engine.cite(paper_query).result.rows
+    def test_stale_epoch_plans_drop_their_preludes(self, paper_db, paper_views, paper_query):
+        engine = CitationEngine(paper_db, paper_views, strategy="reduced")
+        plan = engine.compile_plan(paper_query)
+        engine.execute_plan(plan)
+        engine.execute_plan(plan)
+        preludes = [plan.compiled(i).prelude for i in range(len(plan.rewritings))]
+        hits = [p.hits for p in preludes]
+        misses = [p.misses for p in preludes]
+        assert all(h >= 1 for h in hits)
+        engine.invalidate_caches()
+        # The engine cannot reach the plan at invalidation time; the views
+        # re-materialise, so every prelude's identity stamp misses and its
+        # state recomputes on the next execution.
+        result = engine.execute_plan(plan)
+        assert [p.misses for p in preludes] == [m + 1 for m in misses]
+        assert [p.hits for p in preludes] == hits
+        fresh = CitationEngine(paper_db, paper_views).cite(paper_query)
+        assert result.result.rows == fresh.result.rows
+        assert result.citation.records == fresh.citation.records
 
     def test_results_stay_exact_across_invalidation_and_drift(
         self, paper_engine, paper_query, paper_db

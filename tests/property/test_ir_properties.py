@@ -16,6 +16,7 @@ import dataclasses
 from hypothesis import given, settings
 
 from strategies import (
+    HeldQuery,
     acyclic_queries,
     random_instances,
     random_queries,
@@ -23,24 +24,21 @@ from strategies import (
 )
 
 from repro.analysis.ir import verify_prelude, verify_program, verify_reduced
-from repro.query.compiler import StepReduction
+from repro.query.compiler import StepReduction, reduce_program
 from repro.query.evaluator import QueryEvaluator
 
 
 def _verify_everything(database, extra, query):
-    evaluator = QueryEvaluator(database, extra_relations=extra)
-    program = evaluator.compile(query)
-    report = verify_program(program)
+    held = HeldQuery(QueryEvaluator(database, extra_relations=extra), query)
+    report = verify_program(held.program)
     assert not list(report), f"{query}: {report.to_text()}"
-    reduced = evaluator.reduction_of(query, program)
-    report = verify_reduced(reduced)
+    report = verify_reduced(held.reduced)
     assert not list(report), f"{query}: {report.to_text()}"
     # Warm the prelude through real evaluations (second pass caches the
     # bucket plan) and verify the warm state too.
-    evaluator.evaluate(query, strategy="reduced")
-    evaluator.evaluate(query, strategy="reduced")
-    prelude = evaluator.prelude_for(query, reduced)
-    report = verify_prelude(prelude)
+    held.rows(strategy="reduced")
+    held.rows(strategy="reduced")
+    report = verify_prelude(held.prelude)
     assert not list(report), f"{query}: {report.to_text()}"
 
 
@@ -93,8 +91,7 @@ class TestSeededMutationsAreCaught:
     def test_emptied_reductions_raise_i006(self, query, instance):
         database, extra = instance
         evaluator = QueryEvaluator(database, extra_relations=extra)
-        program = evaluator.compile(query)
-        reduced = evaluator.reduction_of(query, program)
+        reduced = reduce_program(evaluator.compile(query))
         empty = StepReduction((), (), (), ())
         targets = [
             index

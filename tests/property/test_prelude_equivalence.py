@@ -1,7 +1,8 @@
 """Property: warm-prelude evaluation is indistinguishable from cold.
 
-A long-lived evaluator re-evaluating one query accumulates warm
-:class:`~repro.query.compiler.PreludeCache` state — full snapshots on
+Re-evaluating one query through a held program, reduction and prelude
+(:class:`strategies.HeldQuery`, as a citation plan holds them) accumulates
+warm :class:`~repro.query.compiler.PreludeCache` state — full snapshots on
 unchanged data, partially refreshed candidates after drift (only drifted
 steps recompute, untouched subtrees' semi-joined key sets are reused).  For
 every generated query, instance and interleaved insert/delete sequence the
@@ -18,6 +19,7 @@ directly (only its ``Relation.version`` moves).
 from hypothesis import given, settings
 
 from strategies import (
+    HeldQuery,
     acyclic_queries,
     apply_drift,
     brute_force,
@@ -43,12 +45,14 @@ class TestWarmPreludeEquivalence:
         self, query, instance, ops
     ):
         database, extra = instance
-        warm = QueryEvaluator(database, extra_relations=extra, strategy="reduced")
-        assert warm.evaluate(query).rows == brute_force(query, database, extra)
+        warm = HeldQuery(
+            QueryEvaluator(database, extra_relations=extra, strategy="reduced"), query
+        )
+        assert warm.rows() == brute_force(query, database, extra)
         for op in ops:
             apply_drift(database, extra, [op])
             reference = brute_force(query, database, extra)
-            assert warm.evaluate(query).rows == reference  # partial refresh
+            assert warm.rows() == reference  # partial refresh
             assert _cold_answers(database, extra, query) == reference
 
     @given(random_queries(), random_instances(max_rows=6), drift_sequences())
@@ -56,11 +60,13 @@ class TestWarmPreludeEquivalence:
     def test_any_shape_warm_equals_cold_under_drift(self, query, instance, ops):
         # Cyclic queries cache their SIP-only prelude the same way.
         database, extra = instance
-        warm = QueryEvaluator(database, extra_relations=extra, strategy="reduced")
-        warm.evaluate(query)
+        warm = HeldQuery(
+            QueryEvaluator(database, extra_relations=extra, strategy="reduced"), query
+        )
+        warm.rows()
         apply_drift(database, extra, ops)
         reference = brute_force(query, database, extra)
-        assert warm.evaluate(query).rows == reference
+        assert warm.rows() == reference
         assert _cold_answers(database, extra, query) == reference
 
     @given(self_join_queries(), random_instances(max_rows=6), drift_sequences())
@@ -71,20 +77,24 @@ class TestWarmPreludeEquivalence:
         # Steps repeating one predicate stamp the same relation: a drift of R
         # must invalidate every R step at once.
         database, extra = instance
-        warm = QueryEvaluator(database, extra_relations=extra, strategy="reduced")
-        warm.evaluate(query)
+        warm = HeldQuery(
+            QueryEvaluator(database, extra_relations=extra, strategy="reduced"), query
+        )
+        warm.rows()
         apply_drift(database, extra, ops)
-        assert warm.evaluate(query).rows == brute_force(query, database, extra)
+        assert warm.rows() == brute_force(query, database, extra)
 
     @given(acyclic_queries(max_atoms=3), random_instances(max_rows=6))
     @settings(max_examples=30, deadline=None)
     def test_unchanged_data_always_hits(self, query, instance):
         database, extra = instance
-        evaluator = QueryEvaluator(database, extra_relations=extra, strategy="reduced")
-        first = evaluator.evaluate(query).rows
-        second = evaluator.evaluate(query).rows
+        held = HeldQuery(
+            QueryEvaluator(database, extra_relations=extra, strategy="reduced"), query
+        )
+        first = held.rows()
+        second = held.rows()
         assert first == second
-        prelude = evaluator._preludes[query]
+        prelude = held.prelude
         assert prelude.hits >= 1
         assert prelude.misses == 1
 
@@ -94,7 +104,7 @@ class TestWarmPreludeEquivalence:
         # The cost model may flip its pick as the data drifts; whatever it
         # runs must stay exact.
         database, extra = instance
-        auto = QueryEvaluator(database, extra_relations=extra)
-        auto.evaluate(query)
+        auto = HeldQuery(QueryEvaluator(database, extra_relations=extra), query)
+        auto.rows()
         apply_drift(database, extra, ops)
-        assert auto.evaluate(query).rows == brute_force(query, database, extra)
+        assert auto.rows() == brute_force(query, database, extra)

@@ -15,6 +15,7 @@ textbook cartesian-product semantics from :mod:`strategies`.
 from hypothesis import given, settings, strategies as st
 
 from strategies import (
+    HeldQuery,
     acyclic_queries,
     brute_force,
     cyclic_queries,
@@ -128,23 +129,24 @@ class TestStrategyEquivalence:
     def test_reevaluation_after_database_drift(
         self, query, instance, inserts, deletes, relation
     ):
-        """Cached (reduced) programs stay exact across inserts and deletes."""
+        """Held (reduced) programs stay exact across inserts and deletes."""
         database, extra = instance
-        evaluators = {
-            strategy: QueryEvaluator(
-                database,
-                extra_relations=extra,
-                strategy=strategy,
+        held = {
+            strategy: HeldQuery(
+                QueryEvaluator(
+                    database,
+                    extra_relations=extra,
+                    strategy=strategy,
+                ),
+                query,
             )
             for strategy in STRATEGY_KNOBS
         }
-        for strategy, evaluator in evaluators.items():
-            assert evaluator.evaluate(query).rows == brute_force(
-                query, database, extra
-            ), strategy
+        for strategy, compiled in held.items():
+            assert compiled.rows() == brute_force(query, database, extra), strategy
         database.insert_many(relation, inserts)
         for row in deletes:
             database.delete(relation, row)
         reference = brute_force(query, database, extra)
-        for strategy, evaluator in evaluators.items():
-            assert evaluator.evaluate(query).rows == reference, strategy
+        for strategy, compiled in held.items():
+            assert compiled.rows() == reference, strategy

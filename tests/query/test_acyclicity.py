@@ -10,9 +10,10 @@ import pytest
 
 from strategies import brute_force
 
-from repro.query.compiler import is_acyclic, join_forest
+from repro.query.compiler import PreludeCache, is_acyclic, join_forest, reduce_program
 from repro.query.evaluator import STRATEGIES, QueryEvaluator
 from repro.query.parser import parse_query
+from repro.query.stats import EvaluationMetrics
 from repro.relational.database import Database
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
 
@@ -85,10 +86,6 @@ class TestReduceProgramStructure:
         assert not reduced.acyclic
         assert reduced.semi_joins == ()
 
-    def test_reduce_is_cached_per_evaluator(self, db):
-        evaluator = QueryEvaluator(db)
-        assert evaluator.reduce(PATH) is evaluator.reduce(PATH)
-
 
 class TestAutoSelection:
     def test_auto_falls_back_to_program_for_cyclic_queries(self, db):
@@ -128,14 +125,29 @@ class TestAutoSelection:
         # Dense data: cold, the cost model refuses the prelude ...
         for name in ("R", "S", "T"):
             db.insert_many(name, [(i % 4, (i + 1) % 4) for i in range(64)])
-        evaluator = QueryEvaluator(db)
+        metrics = EvaluationMetrics()
+        evaluator = QueryEvaluator(db, metrics=metrics)
         assert evaluator.select_strategy(PATH) == "program"
+        program = evaluator.compile(PATH)
+        reduced = reduce_program(program)
+        prelude = PreludeCache(reduced)
+
+        def run(strategy=None):
+            evaluator.evaluate_with_bindings(
+                PATH, program=program, reduced=reduced, strategy=strategy, prelude=prelude
+            )
+            return metrics.snapshot()
+
         # ... but once a forced run warmed the prelude, re-running it is
         # free, so auto switches to the reduction until the data drifts.
-        evaluator.evaluate(PATH, strategy="reduced")
-        assert evaluator.select_strategy(PATH) == "reduced"
+        run("reduced")
+        snapshot = run()
+        assert snapshot["picks"] == {"program": 0, "reduced": 2}
+        assert snapshot["pick_reasons"]["warm_prelude"] == 1
         db.insert("R", (77, 78))
-        assert evaluator.select_strategy(PATH) == "program"
+        snapshot = run()
+        assert snapshot["picks"] == {"program": 1, "reduced": 2}
+        assert snapshot["pick_reasons"]["cost_model"] == 1
 
     def test_forced_strategies_ignore_the_analysis(self, db):
         assert (

@@ -79,16 +79,6 @@ class TestCompile:
         assert [s.predicate for s in first.steps] == [s.predicate for s in second.steps]
         assert first.variables == second.variables
 
-    def test_parameterized_evaluation_does_not_grow_the_program_cache(self, db):
-        view = parse_query(
-            "lambda FID. V1(FID, FName, Desc) :- Family(FID, FName, Desc)"
-        )
-        evaluator = QueryEvaluator(db)
-        for fid in (11, 12, 13):
-            evaluator.evaluate_parameterized(view, {"FID": fid})
-        # One substituted query per parameter value must not be retained.
-        assert len(evaluator._programs) == 0
-
     def test_program_is_data_independent(self, db):
         query = parse_query("Q(FName) :- Family(FID, FName, D), FamilyIntro(FID, T)")
         relations = _relations(db, query)

@@ -6,13 +6,17 @@ Pins the precise-invalidation contract of
 runs), and after drift only the steps whose relation actually changed
 recompute their prefilter, while bottom-up key projections of untouched
 subtrees are reused by object identity.
+
+The evaluator keeps no per-query state, so each test holds its query's
+compiled program, reduction and prelude itself — exactly as the citation
+engine's plans do — and passes them into every evaluation.
 """
 
 import pytest
 
-from strategies import brute_force
+from strategies import HeldQuery, brute_force
 
-from repro.query.compiler import PreludeCache
+from repro.query.compiler import compile_query, reduce_program
 from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
 from repro.relational.database import Database
@@ -43,40 +47,36 @@ def db():
     return database
 
 
-def _prelude(evaluator, query) -> PreludeCache:
-    return evaluator._preludes[query]
-
-
 class TestWarmHits:
     def test_second_evaluation_is_a_hit(self, db):
-        evaluator = QueryEvaluator(db, strategy="reduced")
-        first = evaluator.evaluate(PATH).rows
-        prelude = _prelude(evaluator, PATH)
+        held = HeldQuery(QueryEvaluator(db, strategy="reduced"), PATH)
+        first = held.rows()
+        prelude = held.prelude
         assert (prelude.hits, prelude.misses) == (0, 1)
-        assert evaluator.evaluate(PATH).rows == first
+        assert held.rows() == first
         assert (prelude.hits, prelude.misses) == (1, 1)
         assert prelude.is_warm({name: db.relation(name) for name in ("R", "S", "T")})
 
     def test_warm_hits_reuse_the_prepared_execution_plan(self, db):
-        evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        snapshot = _prelude(evaluator, PATH)._snapshot
-        evaluator.evaluate(PATH)
-        plan = _prelude(evaluator, PATH)._snapshot.plan
-        assert plan is not None and _prelude(evaluator, PATH)._snapshot is snapshot
+        held = HeldQuery(QueryEvaluator(db, strategy="reduced"), PATH)
+        held.rows()
+        snapshot = held.prelude._snapshot
+        held.rows()
+        plan = held.prelude._snapshot.plan
+        assert plan is not None and held.prelude._snapshot is snapshot
 
     def test_cold_cache_counts_every_step_once(self, db):
-        evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        prelude = _prelude(evaluator, PATH)
+        held = HeldQuery(QueryEvaluator(db, strategy="reduced"), PATH)
+        held.rows()
+        prelude = held.prelude
         assert prelude.steps_recomputed == 3
         assert prelude.steps_reused == 0
 
     def test_stats_shape(self, db):
-        evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        evaluator.evaluate(PATH)
-        stats = _prelude(evaluator, PATH).stats()
+        held = HeldQuery(QueryEvaluator(db, strategy="reduced"), PATH)
+        held.rows()
+        held.rows()
+        stats = held.prelude.stats()
         assert stats == {
             "hits": 1,
             "misses": 1,
@@ -88,11 +88,11 @@ class TestWarmHits:
 
 class TestPreciseInvalidation:
     def test_only_the_drifted_step_recomputes(self, db):
-        evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        prelude = _prelude(evaluator, PATH)
+        held = HeldQuery(QueryEvaluator(db, strategy="reduced"), PATH)
+        held.rows()
+        prelude = held.prelude
         db.insert("S", (9, 9))
-        assert evaluator.evaluate(PATH).rows == brute_force(PATH, db)
+        assert held.rows() == brute_force(PATH, db)
         # One miss, and of the three steps only the S step re-prefiltered.
         assert prelude.misses == 2
         assert prelude.steps_recomputed == 3 + 1
@@ -104,80 +104,78 @@ class TestPreciseInvalidation:
         # {T}) and S→R (subtree {S, T}).  Drifting R — the tree root, in no
         # child subtree — invalidates neither bottom-up projection, so both
         # memoized key sets must survive as objects.
-        evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        prelude = _prelude(evaluator, PATH)
+        held = HeldQuery(QueryEvaluator(db, strategy="reduced"), PATH)
+        held.rows()
+        prelude = held.prelude
         assert prelude.reduced.subtrees == ((1,), (0, 1))
         before = {index: keys for index, (_stamp, keys) in prelude._edge_memo.items()}
         assert before
         db.insert("R", (9, 0))
-        evaluator.evaluate(PATH)
+        held.rows()
         after = prelude._edge_memo
         assert all(after[index][1] is keys for index, keys in before.items())
-        assert evaluator.evaluate(PATH).rows == brute_force(PATH, db)
+        assert held.rows() == brute_force(PATH, db)
 
     def test_drifting_a_leaf_recomputes_every_containing_subtree(self, db):
         # T (the chain's far end) sits in both child subtrees: drifting it
         # must refresh both bottom-up projections.
-        evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        prelude = _prelude(evaluator, PATH)
+        held = HeldQuery(QueryEvaluator(db, strategy="reduced"), PATH)
+        held.rows()
+        prelude = held.prelude
         before = {index: keys for index, (_stamp, keys) in prelude._edge_memo.items()}
         assert before
         db.insert("T", (9, 9))
-        evaluator.evaluate(PATH)
+        held.rows()
         assert all(
             prelude._edge_memo[index][1] is not keys
             for index, keys in before.items()
         )
-        assert evaluator.evaluate(PATH).rows == brute_force(PATH, db)
+        assert held.rows() == brute_force(PATH, db)
 
     def test_self_joins_drift_together(self, db):
-        evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(SELF_JOIN)
-        prelude = _prelude(evaluator, SELF_JOIN)
+        held = HeldQuery(QueryEvaluator(db, strategy="reduced"), SELF_JOIN)
+        held.rows()
+        prelude = held.prelude
         db.insert("R", (5, 6))
-        evaluator.evaluate(SELF_JOIN)
+        held.rows()
         # Both steps read R: one drift invalidates both prefilters.
         assert prelude.steps_recomputed == 2 + 2
         assert prelude.steps_reused == 0
-        assert evaluator.evaluate(SELF_JOIN).rows == brute_force(SELF_JOIN, db)
+        assert held.rows() == brute_force(SELF_JOIN, db)
 
     def test_extra_relation_version_drift_is_noticed(self, db):
         view = Relation(V_SCHEMA, [(1, 2), (2, 3)])
         evaluator = QueryEvaluator(
             db, extra_relations={"V": view}, strategy="reduced"
         )
-        evaluator.evaluate(VIEW_PATH)
-        prelude = _prelude(evaluator, VIEW_PATH)
+        held = HeldQuery(evaluator, VIEW_PATH)
+        held.rows()
         view.insert((3, 0))  # direct mutation: only Relation.version moves
-        assert evaluator.evaluate(VIEW_PATH).rows == brute_force(
-            VIEW_PATH, db, {"V": view}
-        )
-        assert prelude.misses == 2
+        assert held.rows() == brute_force(VIEW_PATH, db, {"V": view})
+        assert held.prelude.misses == 2
 
     def test_replacing_an_extra_relation_object_is_noticed(self, db):
         view = Relation(V_SCHEMA, [(1, 2)])
         evaluator = QueryEvaluator(
             db, extra_relations={"V": view}, strategy="reduced"
         )
-        evaluator.evaluate(VIEW_PATH)
+        held = HeldQuery(evaluator, VIEW_PATH)
+        held.rows()
         # Same content, new object — e.g. a re-materialised view.  The
         # version alone (both 1 after one insert each) cannot distinguish
         # them; the identity stamp must.
         replacement = Relation(V_SCHEMA, [(4, 5)])
         assert replacement.version == view.version
         evaluator.extra_relations["V"] = replacement
-        assert evaluator.evaluate(VIEW_PATH).rows == brute_force(
-            VIEW_PATH, db, {"V": replacement}
-        )
+        assert held.rows() == brute_force(VIEW_PATH, db, {"V": replacement})
+        assert held.prelude.misses == 2
 
     def test_invalidate_forces_a_cold_run(self, db):
-        evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        prelude = _prelude(evaluator, PATH)
+        held = HeldQuery(QueryEvaluator(db, strategy="reduced"), PATH)
+        held.rows()
+        prelude = held.prelude
         prelude.invalidate()
-        evaluator.evaluate(PATH)
+        held.rows()
         assert prelude.misses == 2
         assert prelude.steps_recomputed == 6  # no memo survived
 
@@ -186,65 +184,34 @@ class TestEmptyResults:
     def test_empty_preludes_are_cached_too(self):
         database = Database(SCHEMA)
         database.insert_many("R", [(1, 2)])  # S and T stay empty
-        evaluator = QueryEvaluator(database, strategy="reduced")
-        assert evaluator.evaluate(PATH).rows == set()
-        prelude = _prelude(evaluator, PATH)
+        held = HeldQuery(QueryEvaluator(database, strategy="reduced"), PATH)
+        assert held.rows() == set()
+        prelude = held.prelude
         assert prelude._snapshot.empty
-        assert evaluator.evaluate(PATH).rows == set()
+        assert held.rows() == set()
         assert prelude.hits == 1
 
     def test_drift_out_of_emptiness_recomputes(self):
         database = Database(SCHEMA)
         database.insert_many("R", [(1, 2)])
-        evaluator = QueryEvaluator(database, strategy="reduced")
-        assert evaluator.evaluate(PATH).rows == set()
+        held = HeldQuery(QueryEvaluator(database, strategy="reduced"), PATH)
+        assert held.rows() == set()
         database.insert_many("S", [(2, 3)])
         database.insert_many("T", [(3, 4)])
-        assert evaluator.evaluate(PATH).rows == {(1, 4)}
+        assert held.rows() == {(1, 4)}
 
 
 class TestCacheScoping:
-    def test_prelude_for_shares_the_canonical_cache(self, db):
-        evaluator = QueryEvaluator(db, strategy="reduced")
-        reduced = evaluator.reduce(PATH)
-        prelude = evaluator.prelude_for(PATH, reduced)
-        assert evaluator.prelude_for(PATH, reduced) is prelude
-        evaluator.evaluate(PATH)
-        assert _prelude(evaluator, PATH) is prelude
-
     def test_foreign_reductions_get_a_detached_cache(self, db):
-        from repro.query.compiler import compile_query, reduce_program
-
+        # A prelude only serves the reduction it was built for: evaluating
+        # another compile of the same query runs cold and leaves it alone.
         evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        canonical = _prelude(evaluator, PATH)
+        held = HeldQuery(evaluator, PATH)
+        held.rows()
         relations = {name: db.relation(name) for name in ("R", "S", "T")}
         foreign = reduce_program(compile_query(PATH, relations))
-        detached = evaluator.prelude_for(PATH, foreign)
-        assert detached is not canonical
-        assert _prelude(evaluator, PATH) is canonical  # not evicted
-
-    def test_invalidate_preludes_keeps_programs(self, db):
-        evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        program = evaluator._programs[PATH]
-        evaluator.invalidate_preludes()
-        assert evaluator._preludes == {}
-        assert evaluator._programs[PATH] is program
-
-    def test_invalidate_caches_drops_everything(self, db):
-        evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        evaluator.invalidate_caches()
-        assert evaluator._programs == {}
-        assert evaluator._reduced == {}
-        assert evaluator._preludes == {}
-        assert len(evaluator.statistics) == 0
-        assert evaluator.evaluate(PATH).rows == brute_force(PATH, db)
-
-    def test_parameterized_evaluation_does_not_grow_the_cache(self, db):
-        view = parse_query("λ A. Q(A, D) :- R(A, B), S(B, C), T(C, D)")
-        evaluator = QueryEvaluator(db, strategy="reduced")
-        for value in range(4):
-            evaluator.evaluate_parameterized(view, {"A": value})
-        assert evaluator._preludes == {}
+        rows = evaluator.evaluate_with_bindings(
+            PATH, program=foreign.program, reduced=foreign, prelude=held.prelude
+        )
+        assert set(rows) == brute_force(PATH, db)
+        assert (held.prelude.hits, held.prelude.misses) == (0, 1)

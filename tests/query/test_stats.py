@@ -10,6 +10,7 @@ metrics every decision leaves behind.
 
 import pytest
 
+from repro.query.compiler import PreludeCache, reduce_program
 from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
 from repro.query.stats import (
@@ -217,8 +218,12 @@ class TestEvaluationMetrics:
     def test_estimates_and_actuals_aggregate(self):
         metrics = EvaluationMetrics()
         evaluator = QueryEvaluator(_sparse_db(), metrics=metrics)
-        evaluator.evaluate(PATH)
-        evaluator.evaluate(PATH)
+        reduced = reduce_program(evaluator.compile(PATH))
+        prelude = PreludeCache(reduced)
+        for _ in range(2):
+            evaluator.evaluate_with_bindings(
+                PATH, program=reduced.program, reduced=reduced, prelude=prelude
+            )
         snapshot = metrics.snapshot()
         assert snapshot["picks"]["reduced"] == 2
         # The second evaluation rides the warm prelude: one cold estimate.
@@ -232,8 +237,12 @@ class TestEvaluationMetrics:
         evaluator = QueryEvaluator(
             _sparse_db(), strategy="reduced", metrics=metrics
         )
-        evaluator.evaluate(PATH)
-        evaluator.evaluate(PATH)
+        reduced = reduce_program(evaluator.compile(PATH))
+        held = PreludeCache(reduced, metrics=metrics)
+        for _ in range(2):
+            evaluator.evaluate_with_bindings(
+                PATH, program=reduced.program, reduced=reduced, prelude=held
+            )
         prelude = metrics.snapshot()["prelude_cache"]
         assert prelude["hits"] == 1
         assert prelude["misses"] == 1
@@ -267,21 +276,3 @@ class TestCacheBounds:
         snapshot = metrics.snapshot()
         assert snapshot["picks"] == {"program": 0, "reduced": 0}
         assert snapshot["cost_model"]["estimates"] == 0
-
-    def test_per_query_caches_are_bounded_fifo(self):
-        database = _dense_db(8)
-        evaluator = QueryEvaluator(
-            database, strategy="reduced", max_cached_queries=2
-        )
-        queries = [
-            parse_query(f"Q{i}(A, C) :- R(A, B), S(B, C)") for i in range(5)
-        ]
-        for query in queries:
-            evaluator.evaluate(query)
-        assert len(evaluator._programs) == 2
-        assert len(evaluator._reduced) <= 2
-        assert len(evaluator._preludes) <= 2
-        # Evicted queries simply recompute (and re-enter) on next use.
-        assert evaluator.evaluate(queries[0]).rows == evaluator.evaluate(
-            queries[4]
-        ).rows

@@ -7,10 +7,11 @@ audits the aftermath: no lost requests (the metrics counters balance
 exactly), no cross-request plan corruption (every plan in sight passes the
 IR verifier), stable answers (the churned relation feeds none of the
 queries).  :class:`TestEngineCacheRaces` is the regression suite for the
-engine/evaluator cache locks: tiny cache caps plus many distinct query
-shapes force concurrent FIFO eviction, which without ``_cache_lock`` /
-``_analysis_lock`` raced destructively (``RuntimeError: dictionary changed
-size during iteration``, lost stats updates).
+engine and plan caches: tiny cache caps plus many distinct query shapes
+force concurrent eviction, which without ``_analysis_lock`` raced
+destructively (``RuntimeError: dictionary changed size during iteration``,
+lost stats updates), and threads racing on one cold plan must all adopt one
+identity-paired set of compiled artifacts.
 
 CI runs this module as its own step (``pytest -m race``); the tier-1 run
 deselects it.
@@ -18,13 +19,15 @@ deselects it.
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 import repro.core.engine as engine_module
-from repro import CitationEngine, parse_query
+from repro import CitationEngine, CitationRequest, parse_query
 from repro.query.evaluator import QueryEvaluator
 from repro.service.service import CitationService
 from repro.workloads import gtopdb
@@ -47,6 +50,11 @@ QUERIES = [
     "Q3(FName, Text) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)",
     "Q4(FID) :- Family(FID, FName, Desc)",
 ]
+
+
+def _requests(queries):
+    """Relational-backend requests for *queries*, one each."""
+    return [CitationRequest(query=query, backend="relational") for query in queries]
 
 
 @pytest.fixture
@@ -88,8 +96,8 @@ class TestServiceUnderChurn:
                 with ThreadPoolExecutor(max_workers=THREADS) as pool:
                     futures = [
                         pool.submit(
-                            service.cite_many,
-                            QUERIES,  # intra-batch dedup is a no-op: distinct shapes
+                            service.submit_batch,
+                            _requests(QUERIES),  # no intra-batch dedup: distinct shapes
                         )
                         for _ in range(THREADS * BATCHES_PER_THREAD)
                     ]
@@ -139,13 +147,11 @@ class TestServiceUnderChurn:
 
 
 class TestEngineCacheRaces:
-    """Regression: the engine/evaluator cache locks under forced eviction."""
+    """Regression: the engine and plan caches under concurrent misses."""
 
-    def test_concurrent_cite_many_with_tiny_caches(self, database, monkeypatch):
+    def test_concurrent_submit_batch_with_tiny_caches(self, database, monkeypatch):
         monkeypatch.setattr(engine_module, "_ANALYSIS_CACHE_LIMIT", 4)
         engine = CitationEngine(database, gtopdb.citation_views(extended=True))
-        evaluator = engine._execution_evaluator()
-        evaluator.max_cached_queries = 3  # force FIFO eviction on every miss
 
         # Distinct head predicates make distinct cache keys: every shape
         # compiles, analyzes and (at the tiny caps) evicts concurrently.
@@ -157,13 +163,15 @@ class TestEngineCacheRaces:
         ]
         reference = {shape: engine.cite(shape).result.rows for shape in shapes[:4]}
 
-        with CitationService(engine, max_workers=THREADS) as service:
+        with CitationService(engine, plan_cache_size=3, max_workers=THREADS) as service:
             with ThreadPoolExecutor(max_workers=THREADS) as pool:
                 futures = [
-                    pool.submit(service.cite_many, shapes)
+                    pool.submit(service.submit_batch, _requests(shapes))
                     for _ in range(THREADS)
                 ]
                 results = [future.result(timeout=120) for future in futures]
+            # The plan cache honoured its cap under concurrency.
+            assert len(service.plan_cache) <= 3
 
         for responses in results:
             assert len(responses) == len(shapes)
@@ -175,30 +183,71 @@ class TestEngineCacheRaces:
         assert len(engine._analysis_cache) <= 4
         assert engine.analysis_stats()["verify_violations"] == 0
 
-    def test_concurrent_evaluator_cache_eviction(self, database):
-        evaluator = QueryEvaluator(database, max_cached_queries=3)
-        shapes = [
-            parse_query(f"Q{i}(FName) :- Family(FID, FName, Desc)")
-            for i in range(30)
-        ]
+    def test_concurrent_cold_plan_execution_stays_identity_paired(
+        self, database, monkeypatch
+    ):
+        # verify_plans="off" keeps the plan cold until its first execution;
+        # "reduced" makes every execution run through the prelude.
+        engine = CitationEngine(
+            database,
+            gtopdb.citation_views(extended=True),
+            strategy="reduced",
+            verify_plans="off",
+        )
+        query = "Q(FName, Text) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)"
+        reference = engine.cite(query).result.rows
+        plan = engine.compile_plan(parse_query(query))
+        assert plan.rewritings and plan.compiled(0) is None
 
-        def hammer(offset: int) -> int:
-            count = 0
-            for index in range(len(shapes)):
-                query = shapes[(index + offset) % len(shapes)]
-                program = evaluator.compile(query)
-                reduced = evaluator.reduction_of(query, program)
-                assert reduced.program is program
-                prelude = evaluator.prelude_for(query, reduced)
-                assert prelude.reduced is reduced
-                evaluator.evaluate(query)
-                count += 1
-            return count
+        # A slow compile makes every thread miss the cold plan and build its
+        # own entry, so the setdefault publish is what makes them all adopt
+        # the first one.
+        compiles: list[object] = []
+        used: list[tuple] = []
+        original_compile = QueryEvaluator.compile
+        original_evaluate = QueryEvaluator.evaluate_with_bindings
 
-        with ThreadPoolExecutor(max_workers=THREADS) as pool:
-            futures = [pool.submit(hammer, i * 3) for i in range(THREADS)]
-            counts = [future.result(timeout=120) for future in futures]
-        assert counts == [len(shapes)] * THREADS
-        assert len(evaluator._programs) <= 3
-        assert len(evaluator._reduced) <= 3
-        assert len(evaluator._preludes) <= 3
+        def slow_compile(self, rewriting_query):
+            program = original_compile(self, rewriting_query)
+            compiles.append(program)
+            time.sleep(0.02)
+            return program
+
+        def recording_evaluate(self, rewriting_query, **held):
+            used.append((rewriting_query, held["program"], held["reduced"], held["prelude"]))
+            return original_evaluate(self, rewriting_query, **held)
+
+        monkeypatch.setattr(QueryEvaluator, "compile", slow_compile)
+        monkeypatch.setattr(QueryEvaluator, "evaluate_with_bindings", recording_evaluate)
+        start = threading.Barrier(THREADS)
+
+        def execute():
+            start.wait(timeout=30)
+            return engine.execute_plan(plan).result.rows
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=THREADS) as pool:
+                futures = [pool.submit(execute) for _ in range(THREADS)]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert all(rows == reference for rows in results)
+        assert len(compiles) > len(plan.rewritings)  # the threads really raced
+        entries = {
+            rewriting.query: plan.compiled(position)
+            for position, rewriting in enumerate(plan.rewritings)
+        }
+        for program, reduced, prelude in entries.values():
+            assert reduced.program is program
+            assert prelude.reduced is reduced
+        # Every execution ran on the published entry, not on its own build.
+        assert len(used) == THREADS * len(plan.rewritings)
+        for rewriting_query, program, reduced, prelude in used:
+            entry = entries[rewriting_query]
+            assert program is entry.program
+            assert reduced is entry.reduced
+            assert prelude is entry.prelude
+        assert not list(engine.verify_plan(plan))

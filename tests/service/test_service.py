@@ -8,7 +8,13 @@ import time
 import pytest
 
 import repro.core.engine as engine_module
-from repro import CitationEngine, CitationPolicy, CitationService, parse_query
+from repro import (
+    CitationEngine,
+    CitationPolicy,
+    CitationRequest,
+    CitationService,
+    parse_query,
+)
 from repro.core.incremental import IncrementalCitationMaintainer
 from repro.errors import NoRewritingError
 from repro.workloads import gtopdb
@@ -47,13 +53,18 @@ QUERY = "Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)"
 QUERY_RENAMED = "Q(N) :- FamilyIntro(F, T), Family(F, N, D)"
 
 
+def cq(query: str) -> CitationRequest:
+    """A relational-backend request for one conjunctive query."""
+    return CitationRequest(query=query, backend="relational")
+
+
 class TestSingleRequests:
     def test_matches_engine_cite(self, service, engine):
         _same_cited_result(service.cite(QUERY), engine.cite(QUERY))
 
     def test_repeat_is_served_from_result_cache(self, service):
-        first = service.try_cite(QUERY)
-        second = service.try_cite(QUERY)
+        first = service.submit(cq(QUERY))
+        second = service.submit(cq(QUERY))
         assert not first.cached and second.cached
         _same_cited_result(first.result, second.result)
         assert service.metrics.counter("result_cache_hits") == 1
@@ -82,7 +93,7 @@ class TestSingleRequests:
     def test_error_is_raised_by_cite_and_reported_by_try_cite(self, service):
         with pytest.raises(NoRewritingError):
             service.cite("Q(PName) :- Contributor(TID, PName)")
-        response = service.try_cite("Q(PName) :- Contributor(TID, PName)")
+        response = service.submit(cq("Q(PName) :- Contributor(TID, PName)"))
         assert not response.ok and isinstance(response.error, NoRewritingError)
         with pytest.raises(NoRewritingError):
             response.unwrap()
@@ -94,7 +105,7 @@ class TestSingleRequests:
         with CitationService(engine) as service:
             result = service.cite("Q(PName) :- Contributor(TID, PName)")
             assert result.used_fallback
-            repeat = service.try_cite("Q(PName) :- Contributor(TID, PName)")
+            repeat = service.submit(cq("Q(PName) :- Contributor(TID, PName)"))
             assert repeat.cached and repeat.result.used_fallback
 
 
@@ -139,7 +150,7 @@ class TestInvalidation:
     def test_forced_engine_invalidation_drops_service_caches(self, service):
         service.cite(QUERY)
         service.engine.invalidate_caches()
-        response = service.try_cite(QUERY)
+        response = service.submit(cq(QUERY))
         assert not response.cached
         assert service.metrics.counter("plan_compilations") == 2
 
@@ -169,20 +180,21 @@ class TestInvalidation:
 class TestBatching:
     def test_cite_batch_matches_sequential(self, service, engine):
         queries = [QUERY, QUERY_RENAMED, "Q2(FID, FName, Desc) :- Family(FID, FName, Desc)"]
-        batch = service.cite_batch(queries)
-        for query, result in zip(queries, batch):
-            _same_cited_result(result, engine.cite(query))
+        batch = service.submit_batch([cq(query) for query in queries])
+        for query, response in zip(queries, batch):
+            _same_cited_result(response.unwrap(), engine.cite(query))
 
     def test_cite_batch_deduplicates(self, service):
         queries = [QUERY, QUERY_RENAMED, QUERY, QUERY_RENAMED, QUERY]
-        service.cite_batch(queries)
+        service.submit_batch([cq(query) for query in queries])
         assert service.metrics.counter("executions") == 1
         assert service.metrics.counter("deduplicated") == 4
 
-    def test_cite_many_matches_sequential(self, service, engine):
+    def test_cite_many_matches_sequential(self, engine):
         queries = list(gtopdb.example_queries()) * 2
         sequential = [engine.cite(query) for query in queries]
-        responses = service.cite_many(queries, max_workers=6)
+        with CitationService(engine, max_workers=6) as service:
+            responses = service.submit_batch([cq(query) for query in queries])
         assert len(responses) == len(queries)
         assert all(response.ok for response in responses)
         for expected, response in zip(sequential, responses):
@@ -199,13 +211,13 @@ class TestBatching:
             "Q(PName) :- Contributor(TID, PName)",
             QUERY_RENAMED,
         ]
-        responses = service.cite_many(queries)
+        responses = service.submit_batch([cq(query) for query in queries])
         assert [response.ok for response in responses] == [True, False, False, True]
         assert service.metrics.counter("errors") == 2
 
     def test_cite_many_shares_error_across_duplicates(self, service):
         bad = "Q(PName) :- Contributor(TID, PName)"
-        responses = service.cite_many([bad, bad])
+        responses = service.submit_batch([cq(bad), cq(bad)])
         assert all(not response.ok for response in responses)
         assert all(
             isinstance(response.error, NoRewritingError) for response in responses
@@ -223,15 +235,16 @@ class TestBatching:
         # than the 10ms budget before it reaches slow_execute; its deadline
         # checkpoint then answers in time and nothing is left to time out.
         gc.collect()
-        responses = service.cite_many([QUERY], timeout=0.01)
+        responses = service.submit_batch([cq(QUERY)], timeout=0.01)
         assert not responses[0].ok
         assert isinstance(responses[0].error, TimeoutError)
         assert service.metrics.counter("timeouts") == 1
 
     def test_warm_precompiles_plans(self, service):
-        compiled = service.warm(gtopdb.example_queries())
-        assert compiled == len(gtopdb.example_queries())
-        assert service.warm(gtopdb.example_queries()) == 0
+        queries = gtopdb.example_queries()
+        assert [service.plan_for(query)[1] for query in queries] == [False] * len(queries)
+        assert [service.plan_for(query)[1] for query in queries] == [True] * len(queries)
+        assert service.metrics.counter("plan_compilations") == len(queries)
 
 
 class TestStats:
@@ -318,7 +331,7 @@ class TestCompiledProgramsThroughThePlanCache:
         plan, hit = service.plan_for(query)
         assert hit
         assert plan.rewritings  # a real plan, not a fallback
-        programs = [plan.compiled_program(i) for i in range(len(plan.rewritings))]
+        programs = [plan.compiled(i).program for i in range(len(plan.rewritings))]
         assert all(program is not None for program in programs)
         # A structurally identical (renamed) query hits the same plan, so it
         # reuses the same compiled join programs.
@@ -333,13 +346,11 @@ class TestCompiledProgramsThroughThePlanCache:
         service.cite(query)
         plan, hit = service.plan_for(query)
         assert hit
-        reduced = [plan.compiled_reduced(i) for i in range(len(plan.rewritings))]
+        reduced = [plan.compiled(i).reduced for i in range(len(plan.rewritings))]
         assert all(r is not None for r in reduced)
         assert all(r.acyclic for r in reduced)  # citation views are acyclic CQs
         service.cite(query)  # warm: must reuse, not re-analyse
-        assert [
-            plan.compiled_reduced(i) for i in range(len(plan.rewritings))
-        ] == reduced
+        assert all(plan.compiled(i).reduced is r for i, r in enumerate(reduced))
 
     def test_stats_expose_the_engine_strategy(self, service):
         assert service.stats()["engine"]["strategy"] == "auto"

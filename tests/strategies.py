@@ -24,6 +24,11 @@ strategies must agree on:
 :func:`brute_force` is the shared reference semantics: filter the full
 cartesian product of the body extensions, no join order, no indexes — the
 textbook answer every execution strategy is compared against.
+
+:class:`HeldQuery` holds one query's compiled program, reduction and warm
+prelude across evaluations, the way a citation plan does (the evaluator
+itself keeps no per-query state), so properties about warm state exercise
+the same path serving traffic takes.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import itertools
 from hypothesis import strategies as st
 
 from repro.query.ast import Atom, ConjunctiveQuery, Constant, Variable
+from repro.query.compiler import PreludeCache, reduce_program
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
@@ -53,6 +59,7 @@ __all__ = [
     "drift_sequences",
     "apply_drift",
     "brute_force",
+    "HeldQuery",
 ]
 
 RS_SCHEMA = DatabaseSchema(
@@ -319,3 +326,26 @@ def brute_force(query: ConjunctiveQuery, database, extra=None) -> set[tuple]:
                 )
             )
     return answers
+
+
+class HeldQuery:
+    """One query's compiled artifacts, held across evaluations."""
+
+    def __init__(self, evaluator, query: ConjunctiveQuery) -> None:
+        self.evaluator = evaluator
+        self.query = query
+        self.program = evaluator.compile(query)
+        self.reduced = reduce_program(self.program)
+        self.prelude = PreludeCache(self.reduced)
+
+    def rows(self, strategy=None) -> set[tuple]:
+        """Evaluate through the held artifacts; return the answer rows."""
+        return set(
+            self.evaluator.evaluate_with_bindings(
+                self.query,
+                program=self.program,
+                reduced=self.reduced,
+                strategy=strategy,
+                prelude=self.prelude,
+            )
+        )
