@@ -12,23 +12,64 @@ consists of
 
 Tuples of the view that agree on all parameter values share a citation;
 tuples that disagree on some parameter value may have different citations.
+
+The citation of one valuation is ``FV(CV(p̄))``.  It is computed set at a
+time: :meth:`CitationView.snippet_index` evaluates every citation query once
+with its λ-variables left free (they are head variables, so every answer row
+carries its valuation) and groups the answer rows by λ-tuple.  A record is
+then a dictionary lookup into that index plus one call of the citation
+function, so a view's records cost one evaluation per citation query per
+database generation rather than one per valuation.  A valuation with no
+answer rows slices to an empty snippet; so does one that a λ-variable's
+equality atom (``FID = 1``) rules out.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from typing import NamedTuple
 
 from repro.errors import CitationError
 from repro.core.record import CitationRecord
 from repro.query.ast import ConjunctiveQuery, Constant, Variable
-from repro.query.evaluator import QueryEvaluator
+from repro.query.evaluator import QueryEvaluator, result_schema
 from repro.query.parser import parse_query
 from repro.relational.database import Database
 from repro.relational.relation import Relation
+from repro.relational.schema import RelationSchema
 from repro.rewriting.view import View
 
 #: Signature of a citation function: (parameter values, snippet results) -> record.
 CitationFunction = Callable[[Mapping[str, object], Mapping[str, Relation]], CitationRecord]
+
+
+class SnippetGroups(NamedTuple):
+    """The answer of one citation query, grouped by λ-valuation.
+
+    ``groups`` maps the tuple of values of ``parameters`` (in that order) to
+    the answer rows carrying them; ``slots`` lists ``(head position, index
+    into that tuple)`` for every head occurrence of a λ-variable.  ``schema``
+    is the answer schema of the query instantiated with one valuation.
+    """
+
+    schema: RelationSchema
+    parameters: tuple[str, ...]
+    slots: tuple[tuple[int, int], ...]
+    groups: Mapping[tuple, tuple[tuple, ...]]
+
+    def slice(self, parameter_values: Mapping[str, object]) -> Relation:
+        """The answer of the query instantiated with *parameter_values*."""
+        key = tuple(parameter_values[name] for name in self.parameters)
+        rows = self.groups.get(key, ())
+        if self.slots:
+            # Instantiation puts the given values into the λ positions; an
+            # equal value of another type (1 vs 1.0) must come out as given.
+            rows = [_with_values(row, self.slots, key) for row in rows]
+        return Relation(self.schema, rows)
+
+
+#: Citation query name -> its grouped answer: one view at one generation.
+SnippetIndex = Mapping[str, SnippetGroups]
 
 
 class DefaultCitationFunction:
@@ -139,48 +180,60 @@ class CitationView:
         return tuple(p.name for p in self.view.parameters)
 
     # -- citation construction ------------------------------------------------------
-    def snippet_results(
-        self, database: Database, parameter_values: Mapping[str, object] | None = None
-    ) -> dict[str, Relation]:
-        """Evaluate every citation query with the given parameter values."""
-        parameter_values = dict(parameter_values or {})
-        missing = set(self.parameter_names()) - set(parameter_values)
-        if missing and self.citation_queries:
-            needed = {
-                p.name
-                for citation_query in self.citation_queries
-                for p in citation_query.parameters
-            }
-            if needed & missing:
-                raise CitationError(
-                    f"view {self.name!r}: missing parameter values {sorted(needed & missing)}"
-                )
+    def snippet_index(self, database: Database) -> SnippetIndex:
+        """Evaluate every citation query once and group its answer by λ-tuple.
+
+        The index serves the snippets of every valuation of this view against
+        *database* as it is now; it is stale once the database changes.
+        """
         evaluator = QueryEvaluator(database)
-        out: dict[str, Relation] = {}
-        for citation_query in self.citation_queries:
-            if citation_query.parameters:
-                substitution = {
-                    p: Constant(parameter_values[p.name]) for p in citation_query.parameters
-                }
-                instantiated = citation_query.substitute(substitution)
-            else:
-                instantiated = citation_query
-            out[citation_query.name] = evaluator.evaluate(instantiated.without_parameters())
-        return out
+        return {
+            citation_query.name: _group_answer(
+                citation_query, evaluator.evaluate(citation_query.without_parameters())
+            )
+            for citation_query in self.citation_queries
+        }
+
+    def snippet_results(
+        self,
+        database: Database,
+        parameter_values: Mapping[str, object] | None = None,
+        index: SnippetIndex | None = None,
+    ) -> dict[str, Relation]:
+        """The answer of every citation query under one parameter valuation.
+
+        Slices *index* (a :meth:`snippet_index` of *database*), or a one-off
+        index when none is passed.
+        """
+        parameter_values = dict(parameter_values or {})
+        missing = {
+            p.name for citation_query in self.citation_queries for p in citation_query.parameters
+        } - parameter_values.keys()
+        if missing:
+            raise CitationError(
+                f"view {self.name!r}: missing parameter values {sorted(missing)}"
+            )
+        if index is None:
+            index = self.snippet_index(database)
+        return {name: groups.slice(parameter_values) for name, groups in index.items()}
 
     def citation_for(
-        self, database: Database, parameter_values: Mapping[str, object] | None = None
+        self,
+        database: Database,
+        parameter_values: Mapping[str, object] | None = None,
+        index: SnippetIndex | None = None,
     ) -> CitationRecord:
         """Build the citation record for one parameter valuation.
 
-        This is ``FV(CV(p1, ..., pn))`` in the paper's notation: the citation
-        queries are evaluated with the parameters instantiated and the
-        citation function turns the snippets into a record.  The record also
-        carries the view name and the parameter values so that downstream
-        formatting can show which citable unit it refers to.
+        This is ``FV(CV(p1, ..., pn))`` in the paper's notation: the snippets
+        of the valuation are sliced from *index* (see :meth:`snippet_index`;
+        a one-off index of *database* when none is passed) and the citation
+        function turns them into a record.  The record also carries the view
+        name and the parameter values so that downstream formatting can show
+        which citable unit it refers to.
         """
         parameter_values = dict(parameter_values or {})
-        snippets = self.snippet_results(database, parameter_values)
+        snippets = self.snippet_results(database, parameter_values, index)
         record = self.citation_function(parameter_values, snippets)
         return record.with_fields(view=self.name)
 
@@ -196,6 +249,38 @@ def _as_query(query: ConjunctiveQuery | str) -> ConjunctiveQuery:
     if isinstance(query, ConjunctiveQuery):
         return query
     return parse_query(query)
+
+
+def _group_answer(citation_query: ConjunctiveQuery, answer: Relation) -> SnippetGroups:
+    """Group *answer*, the answer of *citation_query* with free λ-variables."""
+    parameters = citation_query.parameters
+    head = citation_query.head_terms
+    key_positions = [head.index(p) for p in parameters]
+    slots = tuple(
+        (position, parameters.index(term))
+        for position, term in enumerate(head)
+        if term in parameters
+    )
+    groups: dict[tuple, list[tuple]] = {}
+    for row in answer.rows:
+        groups.setdefault(tuple(row[p] for p in key_positions), []).append(row)
+    instantiated = citation_query.head.substitute({p: Constant(None) for p in parameters})
+    schema = result_schema(
+        ConjunctiveQuery(instantiated, citation_query.body, citation_query.equalities)
+    )
+    return SnippetGroups(
+        schema,
+        tuple(p.name for p in parameters),
+        slots,
+        {key: tuple(rows) for key, rows in groups.items()},
+    )
+
+
+def _with_values(row: tuple, slots: tuple[tuple[int, int], ...], key: tuple) -> tuple:
+    values = list(row)
+    for position, i in slots:
+        values[position] = key[i]
+    return tuple(values)
 
 
 def views_of(citation_views: Iterable[CitationView]) -> list[View]:

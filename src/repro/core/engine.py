@@ -30,7 +30,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from typing import Literal, NamedTuple
 
 from repro.core.citation import Citation
-from repro.core.citation_view import CitationView, views_of
+from repro.core.citation_view import CitationView, SnippetIndex, views_of
 from repro.core.expression import (
     Aggregate,
     CitationAtom,
@@ -292,6 +292,9 @@ class CitationEngine:
         )
         self._view_relations: dict[str, Relation] | None = None
         self._record_cache: dict[tuple[str, tuple], CitationRecord] = {}
+        # One grouped snippet index per citation view, built on the view's
+        # first record miss of a generation and shared by all its records.
+        self._snippet_indexes: dict[str, SnippetIndex] = {}
         self._cache_generation = database.generation
         self._cache_epoch = 0
         # Shared across executions so that hash indexes built over
@@ -352,14 +355,15 @@ class CitationEngine:
         depends on external state) and bumps the cache epoch so that compiled
         plans held elsewhere are invalidated too.
 
-        Besides the views, citation records and view indexes, this clears the
-        statistics catalog.  Warm prelude state on plans held elsewhere needs
+        Besides the views, citation records, snippet indexes and view indexes,
+        this clears the statistics catalog.  Warm prelude state on plans held elsewhere needs
         no separate protocol: the views are re-materialised on next use, so
         every prelude's relation-identity stamp misses and its state
         recomputes.
         """
         self._view_relations = None
         self._record_cache.clear()
+        self._snippet_indexes.clear()
         self._index_manager.invalidate()
         self._statistics.invalidate()
         self._cache_epoch += 1
@@ -370,6 +374,7 @@ class CitationEngine:
         if generation != self._cache_generation:
             self._view_relations = None
             self._record_cache.clear()
+            self._snippet_indexes.clear()
             self._cache_generation = generation
 
     def view_relations(self) -> dict[str, Relation]:
@@ -446,7 +451,14 @@ class CitationEngine:
     def citation_record(
         self, view_name: str, parameter_values: Mapping[str, object] | None = None
     ) -> CitationRecord:
-        """``FV(CV(p̄))`` for one view and one parameter valuation (cached)."""
+        """``FV(CV(p̄))`` for one view and one parameter valuation (cached).
+
+        Records are cached per database generation.  A miss slices the
+        view's snippet index (:meth:`CitationView.snippet_index`), which the
+        first miss of the generation builds and publishes: every citation
+        query of a view is evaluated once per generation, not once per
+        valuation.
+        """
         self._refresh_generation()
         parameter_values = dict(parameter_values or {})
         key = (view_name, tuple(sorted(parameter_values.items(), key=repr)))
@@ -455,7 +467,13 @@ class CitationEngine:
             citation_view = self._citation_view_by_name.get(view_name)
             if citation_view is None:
                 raise CitationError(f"unknown citation view {view_name!r}")
-            cached = citation_view.citation_for(self.database, parameter_values)
+            index = self._snippet_indexes.get(view_name)
+            if index is None:
+                # Racing misses may each build one; all adopt the first published.
+                index = self._snippet_indexes.setdefault(
+                    view_name, citation_view.snippet_index(self.database)
+                )
+            cached = citation_view.citation_for(self.database, parameter_values, index)
             self._record_cache[key] = cached
         return cached
 

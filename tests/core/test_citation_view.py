@@ -2,6 +2,8 @@
 
 import pytest
 
+from record_oracle import reference_record
+from repro import CitationEngine
 from repro.core.citation_view import CitationView, DefaultCitationFunction, views_of
 from repro.errors import CitationError
 from repro.query.parser import parse_query
@@ -56,10 +58,65 @@ class TestSnippetEvaluation:
     def test_missing_parameter_raises(self, db, v1):
         with pytest.raises(CitationError):
             v1.snippet_results(db, {})
+        with pytest.raises(CitationError):
+            v1.citation_for(db, {}, v1.snippet_index(db))
+        with pytest.raises(CitationError):
+            CitationEngine(db, gtopdb.citation_views()).citation_record("V1", {})
 
     def test_unparameterized_view_needs_no_values(self, db, v2):
         snippets = v2.snippet_results(db)
         assert snippets["CV2"].rows == {(gtopdb.DATABASE_TITLE,)}
+
+
+class TestSnippetIndex:
+    def test_groups_answer_rows_by_lambda_tuple(self, db, v1):
+        index = v1.snippet_index(db)
+        assert list(index) == ["CV1", "CV1name"]
+        committee = index["CV1"]
+        assert committee.parameters == ("FID",)
+        assert set(committee.groups[(11,)]) == {(11, "D. Hoyer"), (11, "A. Davenport")}
+        assert committee.schema.attribute_names == ("const_0", "PName")
+
+    def test_slices_equal_one_off_evaluation(self, db, v1):
+        index = v1.snippet_index(db)
+        for fid in (11, 12, 13, 999):
+            assert v1.citation_for(db, {"FID": fid}, index) == v1.citation_for(db, {"FID": fid})
+
+    def test_absent_valuation_slices_to_empty_snippet(self, db, v1):
+        snippets = v1.snippet_results(db, {"FID": 999}, v1.snippet_index(db))
+        assert all(len(relation) == 0 for relation in snippets.values())
+        assert snippets["CV1"].schema.attribute_names == ("const_0", "PName")
+
+    def test_slice_carries_the_given_parameter_value(self, db, v1):
+        # 11.0 == 11 finds FID 11's rows; instantiation puts the given value
+        # into the λ column, as substituting the constant did.
+        rows = v1.snippet_results(db, {"FID": 11.0})["CV1"].rows
+        assert {type(row[0]) for row in rows} == {float}
+
+    def test_lambda_variable_in_equality_atom(self, db):
+        view = CitationView(
+            "lambda FID. V(FID, N) :- Family(FID, N, D)",
+            citation_queries=["lambda FID. CV(FID, N) :- Family(FID, N, D), FID = 11"],
+        )
+        index = view.snippet_index(db)
+        assert view.citation_for(db, {"FID": 11}, index)["N"] == "Calcitonin"
+        # Any other valuation makes the equality false: an empty snippet,
+        # not an error.
+        other = view.citation_for(db, {"FID": 12}, index)
+        assert "N" not in other
+        assert other == reference_record(view, db, {"FID": 12})
+
+    def test_lambda_variable_repeated_in_head(self, db):
+        view = CitationView(
+            "lambda FID. V(FID, N) :- Family(FID, N, D)",
+            citation_queries=["lambda FID. CV(FID, FID, N) :- Family(FID, N, D)"],
+        )
+        snippet = view.snippet_results(db, {"FID": 11})["CV"]
+        assert snippet.schema.attribute_names == ("const_0", "const_1", "N")
+        assert snippet.rows == {(11, 11, "Calcitonin")}
+        assert view.citation_for(db, {"FID": 13})["N"] == "Adenosine"
+        for fid in (11, 13, 999):
+            assert view.citation_for(db, {"FID": fid}) == reference_record(view, db, {"FID": fid})
 
 
 class TestCitationConstruction:

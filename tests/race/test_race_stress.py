@@ -10,8 +10,9 @@ queries).  :class:`TestEngineCacheRaces` is the regression suite for the
 engine and plan caches: tiny cache caps plus many distinct query shapes
 force concurrent eviction, which without ``_analysis_lock`` raced
 destructively (``RuntimeError: dictionary changed size during iteration``,
-lost stats updates), and threads racing on one cold plan must all adopt one
-identity-paired set of compiled artifacts.
+lost stats updates), threads racing on one cold plan must all adopt one
+identity-paired set of compiled artifacts, and threads racing on a view's
+cold citation records after a write must all adopt one snippet index.
 
 CI runs this module as its own step (``pytest -m race``); the tier-1 run
 deselects it.
@@ -28,6 +29,7 @@ import pytest
 
 import repro.core.engine as engine_module
 from repro import CitationEngine, CitationRequest, parse_query
+from repro.core.citation_view import CitationView
 from repro.query.evaluator import QueryEvaluator
 from repro.service.service import CitationService
 from repro.workloads import gtopdb
@@ -251,3 +253,53 @@ class TestEngineCacheRaces:
             assert reduced is entry.reduced
             assert prelude is entry.prelude
         assert not list(engine.verify_plan(plan))
+
+    def test_concurrent_cold_records_after_a_write_adopt_one_index_per_view(
+        self, database, monkeypatch
+    ):
+        views = gtopdb.citation_views(extended=True)
+        engine = CitationEngine(database, views)
+        query = gtopdb.example_queries()[4]  # Q5: one record per family and target
+        engine.cite(query)
+        # The write makes every record and snippet index stale.
+        database.insert("Committee", (min(database.relation("Family").rows)[0], "R. Racer"))
+        expected = CitationEngine(database, gtopdb.citation_views(extended=True)).cite(query)
+        expected_records = {tc.row: repr(tc.records) for tc in expected.tuple_citations}
+
+        # A slow build makes every thread miss the cold index and build its
+        # own, so the setdefault publish is what makes them all adopt one.
+        builds: list[tuple[str, object]] = []
+        original_index = CitationView.snippet_index
+
+        def slow_index(self, snippet_database):
+            index = original_index(self, snippet_database)
+            builds.append((self.name, index))
+            time.sleep(0.02)
+            return index
+
+        monkeypatch.setattr(CitationView, "snippet_index", slow_index)
+        start = threading.Barrier(THREADS)
+
+        def cite():
+            start.wait(timeout=30)
+            return engine.cite(query)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=THREADS) as pool:
+                futures = [pool.submit(cite) for _ in range(THREADS)]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+
+        for result in results:
+            assert {tc.row: repr(tc.records) for tc in result.tuple_citations} == (
+                expected_records
+            )
+            assert result.citation.to_json() == expected.citation.to_json()
+        published = engine._snippet_indexes
+        assert set(published) == {name for name, _ in builds} >= {"V1", "V4"}
+        assert len(builds) > len(published)  # the threads really raced
+        for name, index in published.items():
+            assert any(built is index for built_name, built in builds if built_name == name)
