@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 from repro.errors import CitationError
 from repro.core.record import CitationRecord
-from repro.query.ast import ConjunctiveQuery, Constant, Variable
-from repro.query.evaluator import QueryEvaluator, result_schema
+from repro.query.ast import ConjunctiveQuery, Variable
+from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
 from repro.relational.database import Database
 from repro.relational.relation import Relation
@@ -49,7 +49,8 @@ class SnippetGroups(NamedTuple):
     ``groups`` maps the tuple of values of ``parameters`` (in that order) to
     the answer rows carrying them; ``slots`` lists ``(head position, index
     into that tuple)`` for every head occurrence of a λ-variable.  ``schema``
-    is the answer schema of the query instantiated with one valuation.
+    names a λ column after its parameter, so a citation function can tell
+    snippet columns from the parameter values it is also given.
     """
 
     schema: RelationSchema
@@ -264,12 +265,8 @@ def _group_answer(citation_query: ConjunctiveQuery, answer: Relation) -> Snippet
     groups: dict[tuple, list[tuple]] = {}
     for row in answer.rows:
         groups.setdefault(tuple(row[p] for p in key_positions), []).append(row)
-    instantiated = citation_query.head.substitute({p: Constant(None) for p in parameters})
-    schema = result_schema(
-        ConjunctiveQuery(instantiated, citation_query.body, citation_query.equalities)
-    )
     return SnippetGroups(
-        schema,
+        answer.schema,
         tuple(p.name for p in parameters),
         slots,
         {key: tuple(rows) for key, rows in groups.items()},

@@ -75,7 +75,7 @@ class TestSnippetIndex:
         committee = index["CV1"]
         assert committee.parameters == ("FID",)
         assert set(committee.groups[(11,)]) == {(11, "D. Hoyer"), (11, "A. Davenport")}
-        assert committee.schema.attribute_names == ("const_0", "PName")
+        assert committee.schema.attribute_names == ("FID", "PName")
 
     def test_slices_equal_one_off_evaluation(self, db, v1):
         index = v1.snippet_index(db)
@@ -85,7 +85,7 @@ class TestSnippetIndex:
     def test_absent_valuation_slices_to_empty_snippet(self, db, v1):
         snippets = v1.snippet_results(db, {"FID": 999}, v1.snippet_index(db))
         assert all(len(relation) == 0 for relation in snippets.values())
-        assert snippets["CV1"].schema.attribute_names == ("const_0", "PName")
+        assert snippets["CV1"].schema.attribute_names == ("FID", "PName")
 
     def test_slice_carries_the_given_parameter_value(self, db, v1):
         # 11.0 == 11 finds FID 11's rows; instantiation puts the given value
@@ -112,7 +112,7 @@ class TestSnippetIndex:
             citation_queries=["lambda FID. CV(FID, FID, N) :- Family(FID, N, D)"],
         )
         snippet = view.snippet_results(db, {"FID": 11})["CV"]
-        assert snippet.schema.attribute_names == ("const_0", "const_1", "N")
+        assert snippet.schema.attribute_names == ("FID", "FID_2", "N")
         assert snippet.rows == {(11, 11, "Calcitonin")}
         assert view.citation_for(db, {"FID": 13})["N"] == "Adenosine"
         for fid in (11, 13, 999):

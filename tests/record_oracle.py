@@ -3,11 +3,14 @@
 This is the direct reading of ``FV(CV(p̄))`` (paper, Section 2) that the
 engine's set-at-a-time snippet index must agree with: instantiate every
 citation query of the view with the valuation, evaluate each instantiation
-on its own, and hand the answers to the view's citation function.  It is
-built on :mod:`repro.query` alone, so it shares no code with the index.
+on its own, and hand the answers to the view's citation function.  It uses
+only :mod:`repro.query` and the relation container, so it shares no code
+with the index.
 
 An instantiation that makes one of the query's equality atoms false has an
-empty answer.
+empty answer.  Instantiating turns the λ columns into constant columns; the
+reference names them after their parameter again, as the citation function
+sees them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 
 from repro.query.ast import ConjunctiveQuery, Constant
-from repro.query.evaluator import QueryEvaluator
+from repro.query.evaluator import QueryEvaluator, result_schema
+from repro.relational.relation import Relation
 
 __all__ = ["ABSENT_KEYS", "reference_record", "reference_snippets", "valuations"]
 
@@ -40,8 +44,8 @@ def reference_snippets(citation_view, database, parameter_values: Mapping[str, o
             [atom.substitute(mapping) for atom in citation_query.body],
             [eq for eq in citation_query.equalities if eq.variable not in mapping],
         )
-        answer = evaluator.evaluate(instantiated)
-        out[citation_query.name] = answer if satisfiable else answer.select(lambda row: False)
+        rows = evaluator.evaluate(instantiated).rows if satisfiable else ()
+        out[citation_query.name] = Relation(result_schema(citation_query), rows)
     return out
 
 
