@@ -47,26 +47,19 @@ class SnippetGroups(NamedTuple):
     """The answer of one citation query, grouped by λ-valuation.
 
     ``groups`` maps the tuple of values of ``parameters`` (in that order) to
-    the answer rows carrying them; ``slots`` lists ``(head position, index
-    into that tuple)`` for every head occurrence of a λ-variable.  ``schema``
-    names a λ column after its parameter, so a citation function can tell
-    snippet columns from the parameter values it is also given.
+    the answer rows carrying them.  ``schema`` names a λ column after its
+    parameter, so a citation function can tell snippet columns from the
+    parameter values it is also given.
     """
 
     schema: RelationSchema
     parameters: tuple[str, ...]
-    slots: tuple[tuple[int, int], ...]
-    groups: Mapping[tuple, tuple[tuple, ...]]
+    groups: Mapping[tuple, list[tuple]]
 
     def slice(self, parameter_values: Mapping[str, object]) -> Relation:
-        """The answer of the query instantiated with *parameter_values*."""
+        """The answer rows whose λ columns equal *parameter_values*."""
         key = tuple(parameter_values[name] for name in self.parameters)
-        rows = self.groups.get(key, ())
-        if self.slots:
-            # Instantiation puts the given values into the λ positions; an
-            # equal value of another type (1 vs 1.0) must come out as given.
-            rows = [_with_values(row, self.slots, key) for row in rows]
-        return Relation(self.schema, rows)
+        return Relation(self.schema, self.groups.get(key, ()))
 
 
 #: Citation query name -> its grouped answer: one view at one generation.
@@ -254,30 +247,13 @@ def _as_query(query: ConjunctiveQuery | str) -> ConjunctiveQuery:
 
 def _group_answer(citation_query: ConjunctiveQuery, answer: Relation) -> SnippetGroups:
     """Group *answer*, the answer of *citation_query* with free λ-variables."""
-    parameters = citation_query.parameters
-    head = citation_query.head_terms
-    key_positions = [head.index(p) for p in parameters]
-    slots = tuple(
-        (position, parameters.index(term))
-        for position, term in enumerate(head)
-        if term in parameters
-    )
+    key_positions = [citation_query.head_terms.index(p) for p in citation_query.parameters]
     groups: dict[tuple, list[tuple]] = {}
     for row in answer.rows:
         groups.setdefault(tuple(row[p] for p in key_positions), []).append(row)
     return SnippetGroups(
-        answer.schema,
-        tuple(p.name for p in parameters),
-        slots,
-        {key: tuple(rows) for key, rows in groups.items()},
+        answer.schema, tuple(p.name for p in citation_query.parameters), groups
     )
-
-
-def _with_values(row: tuple, slots: tuple[tuple[int, int], ...], key: tuple) -> tuple:
-    values = list(row)
-    for position, i in slots:
-        values[position] = key[i]
-    return tuple(values)
 
 
 def views_of(citation_views: Iterable[CitationView]) -> list[View]:

@@ -355,11 +355,11 @@ class CitationEngine:
         depends on external state) and bumps the cache epoch so that compiled
         plans held elsewhere are invalidated too.
 
-        Besides the views, citation records, snippet indexes and view indexes,
-        this clears the statistics catalog.  Warm prelude state on plans held elsewhere needs
-        no separate protocol: the views are re-materialised on next use, so
-        every prelude's relation-identity stamp misses and its state
-        recomputes.
+        Besides the views, citation records, snippet indexes and view
+        indexes, this clears the statistics catalog.  Warm prelude state on
+        plans held elsewhere needs no separate protocol: the views are
+        re-materialised on next use, so every prelude's relation-identity
+        stamp misses and its state recomputes.
         """
         self._view_relations = None
         self._record_cache.clear()

@@ -87,12 +87,6 @@ class TestSnippetIndex:
         assert all(len(relation) == 0 for relation in snippets.values())
         assert snippets["CV1"].schema.attribute_names == ("FID", "PName")
 
-    def test_slice_carries_the_given_parameter_value(self, db, v1):
-        # 11.0 == 11 finds FID 11's rows; instantiation puts the given value
-        # into the λ column, as substituting the constant did.
-        rows = v1.snippet_results(db, {"FID": 11.0})["CV1"].rows
-        assert {type(row[0]) for row in rows} == {float}
-
     def test_lambda_variable_in_equality_atom(self, db):
         view = CitationView(
             "lambda FID. V(FID, N) :- Family(FID, N, D)",
