@@ -204,9 +204,7 @@ class CitationView:
             p.name for citation_query in self.citation_queries for p in citation_query.parameters
         } - parameter_values.keys()
         if missing:
-            raise CitationError(
-                f"view {self.name!r}: missing parameter values {sorted(missing)}"
-            )
+            raise CitationError(f"view {self.name!r}: missing parameter values {sorted(missing)}")
         if index is None:
             index = self.snippet_index(database)
         return {name: groups.slice(parameter_values) for name, groups in index.items()}
