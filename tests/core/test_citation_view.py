@@ -77,11 +77,6 @@ class TestSnippetIndex:
         assert set(committee.groups[(11,)]) == {(11, "D. Hoyer"), (11, "A. Davenport")}
         assert committee.schema.attribute_names == ("FID", "PName")
 
-    def test_slices_equal_one_off_evaluation(self, db, v1):
-        index = v1.snippet_index(db)
-        for fid in (11, 12, 13, 999):
-            assert v1.citation_for(db, {"FID": fid}, index) == v1.citation_for(db, {"FID": fid})
-
     def test_absent_valuation_slices_to_empty_snippet(self, db, v1):
         snippets = v1.snippet_results(db, {"FID": 999}, v1.snippet_index(db))
         assert all(len(relation) == 0 for relation in snippets.values())
