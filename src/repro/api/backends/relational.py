@@ -140,13 +140,7 @@ class RelationalBackend(CitationBackend):
         if parsed == result.query:
             return result
         relation = Relation(result_schema(parsed), result.result.rows)
-        citation = Citation(
-            result.citation.records,
-            expression=result.citation.expression,
-            query_text=str(parsed),
-            version=result.citation.version,
-            timestamp=result.citation.timestamp,
-        )
+        citation = result.citation.with_query_text(str(parsed))
         return CitedResult(
             query=parsed,
             rewritings=result.rewritings,

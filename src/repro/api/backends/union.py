@@ -144,11 +144,7 @@ class UnionBackend(CitationBackend):
         relation = Relation(
             type(schema)(parsed.name, schema.attributes, key=None), result.result.rows
         )
-        citation = Citation(
-            result.citation.records,
-            expression=result.citation.expression,
-            query_text=str(parsed),
-        )
+        citation = result.citation.with_query_text(str(parsed))
         return UnionCitedResult(
             query=parsed,
             tuple_citations=result.tuple_citations,

@@ -9,10 +9,13 @@ the paper mentions: human readable, BibTeX, RIS and XML (plus JSON).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from operator import attrgetter
 
 from repro.core.expression import CitationExpression
 from repro.core.record import CitationRecord, CitationSet, set_size
 from repro.core.formatter import bibtex, csl, jsonfmt, ris, text, xmlfmt
+
+_sort_key = attrgetter("sort_key")
 
 
 class Citation:
@@ -60,9 +63,24 @@ class Citation:
             timestamp=timestamp if timestamp is not None else self.timestamp,
         )
 
+    def with_query_text(self, query_text: str) -> "Citation":
+        """Return a copy reporting *query_text* (an isomorphic variant's query)."""
+        return Citation(
+            self.records,
+            expression=self.expression,
+            query_text=query_text,
+            version=self.version,
+            timestamp=self.timestamp,
+        )
+
     def sorted_records(self) -> list[CitationRecord]:
-        """Records in a deterministic order (used by all formatters)."""
-        return sorted(self.records, key=lambda record: sorted(record.as_dict().items(), key=repr).__repr__())
+        """Records in a deterministic order (used by all formatters).
+
+        Copies share the record and expression objects (``frozenset`` of a
+        ``frozenset`` is the same object), so the sort keys, symbolic text
+        and per-record fragments computed for one copy serve every other.
+        """
+        return sorted(self.records, key=_sort_key)
 
     # -- rendering -----------------------------------------------------------------
     def to_text(self, abbreviate_after: int | None = None) -> str:

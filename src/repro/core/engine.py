@@ -449,7 +449,11 @@ class CitationEngine:
 
     # -- citation records -----------------------------------------------------------
     def citation_record(
-        self, view_name: str, parameter_values: Mapping[str, object] | None = None
+        self,
+        view_name: str,
+        parameter_values: Mapping[str, object] | None = None,
+        *,
+        refresh: bool = True,
     ) -> CitationRecord:
         """``FV(CV(p̄))`` for one view and one parameter valuation (cached).
 
@@ -458,8 +462,13 @@ class CitationEngine:
         first miss of the generation builds and publishes: every citation
         query of a view is evaluated once per generation, not once per
         valuation.
+
+        ``refresh=False`` skips reading the generation (a scan of every
+        relation's version).  Plan execution reads it once when it starts
+        and passes ``False`` for each of its lookups.
         """
-        self._refresh_generation()
+        if refresh:
+            self._refresh_generation()
         parameter_values = dict(parameter_values or {})
         key = (view_name, tuple(sorted(parameter_values.items(), key=repr)))
         cached = self._record_cache.get(key)
@@ -480,7 +489,8 @@ class CitationEngine:
     def _atom_for(
         self, view_name: str, parameter_values: Mapping[str, object]
     ) -> CitationAtom:
-        record = self.citation_record(view_name, parameter_values)
+        """A citation atom with its record; the caller has read the generation."""
+        record = self.citation_record(view_name, parameter_values, refresh=False)
         return CitationAtom(view_name, parameter_values, record)
 
     def _parameters_for_view_atom(
@@ -512,6 +522,21 @@ class CitationEngine:
         self, rewriting: Rewriting, binding: Binding
     ) -> CitationExpression:
         """Definition 2.1: the joint citation of one binding of one rewriting."""
+        self._refresh_generation()
+        return self._joint_citation(rewriting, binding)
+
+    def citation_for_tuple_in_rewriting(
+        self, rewriting: Rewriting, bindings: Sequence[Binding]
+    ) -> CitationExpression:
+        """Definition 2.2: combine the citations of all bindings with ``+``.
+
+        Bindings are processed in a deterministic order so that the symbolic
+        citation expression is reproducible across runs.
+        """
+        self._refresh_generation()
+        return self._alternative_citation(rewriting, bindings)
+
+    def _joint_citation(self, rewriting: Rewriting, binding: Binding) -> CitationExpression:
         atoms: list[CitationExpression] = []
         for view_atom in rewriting.query.body:
             citation_view = self._citation_view_by_name.get(view_atom.predicate)
@@ -525,18 +550,11 @@ class CitationEngine:
             atoms.append(self._atom_for(view_atom.predicate, parameters))
         return joint(atoms)
 
-    def citation_for_tuple_in_rewriting(
+    def _alternative_citation(
         self, rewriting: Rewriting, bindings: Sequence[Binding]
     ) -> CitationExpression:
-        """Definition 2.2: combine the citations of all bindings with ``+``.
-
-        Bindings are processed in a deterministic order so that the symbolic
-        citation expression is reproducible across runs.
-        """
         ordered = sorted(bindings, key=lambda b: sorted((v.name, repr(b[v])) for v in b))
-        return alternative(
-            [self.citation_for_binding(rewriting, binding) for binding in ordered]
-        )
+        return alternative([self._joint_citation(rewriting, binding) for binding in ordered])
 
     # -- main entry point -----------------------------------------------------------------
     def compile_plan(
@@ -710,6 +728,8 @@ class CitationEngine:
             return self._handle_no_rewriting(query, plan.mode, policy)
 
         tracer = get_tracer()
+        # Building the evaluator reads the database generation (through
+        # view_relations); assembly then looks records up without re-reading it.
         evaluator = self._execution_evaluator()
         per_rewriting: list[tuple[Rewriting, dict[tuple, list[Binding]]]] = []
         all_rows: set[tuple] = set()
@@ -747,9 +767,7 @@ class CitationEngine:
                     bindings = bindings_by_row.get(row)
                     if not bindings:
                         continue
-                    alternatives.append(
-                        self.citation_for_tuple_in_rewriting(rewriting, bindings)
-                    )
+                    alternatives.append(self._alternative_citation(rewriting, bindings))
                 expression = rewrite_alternative(alternatives)
                 records = policy.evaluate(expression)
                 tuple_citations.append(TupleCitation(row, expression, records))

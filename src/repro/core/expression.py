@@ -219,9 +219,20 @@ class RewriteAlternative(_Combination):
 
 
 class Aggregate(_Combination):
-    """Aggregation of the citations of all result tuples (the ``Agg`` function)."""
+    """Aggregation of the citations of all result tuples (the ``Agg`` function).
+
+    An aggregate is the root of a citation's expression and every formatter
+    that shows the expression renders it, so its text is rendered once and
+    kept on the (immutable) node.
+    """
+
+    __slots__ = ("_text",)
 
     symbol = "Agg"
+
+    def __init__(self, operands: Iterable[CitationExpression]) -> None:
+        super().__init__(operands)
+        self._text: str | None = None
 
     def to_polynomial(self) -> Polynomial:
         result = Polynomial.zero()
@@ -230,8 +241,9 @@ class Aggregate(_Combination):
         return result
 
     def __str__(self) -> str:
-        inner = ", ".join(str(o) for o in self.operands)
-        return f"Agg[{inner}]"
+        if self._text is None:
+            self._text = f"Agg[{', '.join(str(o) for o in self.operands)}]"
+        return self._text
 
 
 def _deduplicate(operands: Sequence[CitationExpression]) -> tuple[CitationExpression, ...]:

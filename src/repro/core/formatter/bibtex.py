@@ -29,10 +29,10 @@ def _slug(value: object) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "", str(value))[:24] or "entry"
 
 
-def format_record(record: "CitationRecord", key: str) -> str:
-    """Render one record as an ``@misc`` BibTeX entry."""
+def _field_lines(record: "CitationRecord") -> list[str]:
+    """The field lines of *record*'s entry, in output order."""
     fields = record.as_dict()
-    lines = [f"@misc{{{key},"]
+    lines = []
     people = fields.get("authors") or fields.get("contributors")
     if people is not None:
         names = people if isinstance(people, tuple) else (people,)
@@ -51,18 +51,32 @@ def format_record(record: "CitationRecord", key: str) -> str:
     if extras:
         rendered = "; ".join(f"{k}: {v}" for k, v in sorted(extras.items()))
         lines.append(f"  annote = {{{_escape(rendered)}}},")
-    lines.append("}")
-    return "\n".join(lines)
+    return lines
+
+
+def format_record(record: "CitationRecord", key: str) -> str:
+    """Render one record as an ``@misc`` BibTeX entry."""
+    return "\n".join([f"@misc{{{key},", *_field_lines(record), "}"])
+
+
+def _entry_parts(record: "CitationRecord") -> tuple[str, str]:
+    """The key slug and the field lines (each ending in a newline) of *record*'s entry."""
+    fields = record.as_dict()
+    slug = _slug(fields.get("view") or fields.get("title") or "record")
+    return slug, "".join(line + "\n" for line in _field_lines(record))
 
 
 def format_citation(citation: "Citation", key_prefix: str = "datacite") -> str:
-    """Render a citation as a sequence of BibTeX entries."""
+    """Render a citation as a sequence of BibTeX entries.
+
+    Each record's key slug and field lines are rendered once and kept on the
+    record; only the numbered key and the citation's edition vary per
+    rendering.  A record with its own ``version`` keeps it as its edition.
+    """
+    edition = f"  edition = {{{_escape(citation.version)}}},\n" if citation.version else ""
     entries = []
     for index, record in enumerate(citation.sorted_records(), start=1):
-        stem = record.as_dict().get("view") or record.as_dict().get("title") or "record"
-        key = f"{key_prefix}_{_slug(stem)}_{index}"
-        entry = format_record(record, key)
-        if citation.version and "edition" not in entry:
-            entry = entry[:-2] + f"  edition = {{{_escape(citation.version)}}},\n}}"
-        entries.append(entry)
+        slug, body = record.fragment("bibtex", _entry_parts)
+        extra = edition if "version" not in record else ""
+        entries.append(f"@misc{{{key_prefix}_{slug}_{index},\n{body}{extra}}}")
     return "\n\n".join(entries)

@@ -59,6 +59,6 @@ def format_record(record: "CitationRecord") -> str:
 
 
 def format_citation(citation: "Citation") -> str:
-    """Render a citation as a sequence of RIS entries."""
-    blocks = [format_record(record) for record in citation.sorted_records()]
+    """Render a citation as a sequence of RIS entries (each kept on its record)."""
+    blocks = [record.fragment("ris", format_record) for record in citation.sorted_records()]
     return "\n".join(blocks)

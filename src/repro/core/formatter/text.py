@@ -61,11 +61,15 @@ def format_record(record: "CitationRecord", abbreviate_after: int | None = None)
 
 
 def format_citation(citation: "Citation", abbreviate_after: int | None = None) -> str:
-    """Render a full citation (one line per record plus fixity metadata)."""
-    lines = [
-        format_record(record, abbreviate_after=abbreviate_after)
-        for record in citation.sorted_records()
-    ]
+    """Render a full citation (one line per record plus fixity metadata).
+
+    Unabbreviated lines are rendered once and kept on their records.
+    """
+    records = citation.sorted_records()
+    if abbreviate_after is None:
+        lines = [record.fragment("text", format_record) for record in records]
+    else:
+        lines = [format_record(record, abbreviate_after) for record in records]
     suffix: list[str] = []
     if citation.version:
         suffix.append(f"Database version: {citation.version}")

@@ -9,13 +9,22 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.citation import Citation
     from repro.core.record import CitationRecord
 
+#: Characters an attribute value cannot hold as is: the delimiting quote, and
+#: whitespace a parser would normalise to a space.
+_ATTRIBUTE_ENTITIES = {'"': "&quot;", "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"}
+
+
+def _attribute(name: str, value: object) -> str:
+    """``name="value"``, escaped so a parser reads back exactly *value*."""
+    return f'{name}="{escape(str(value), _ATTRIBUTE_ENTITIES)}"'
+
 
 def _render_value(name: str, value: object, indent: str) -> list[str]:
     if isinstance(value, tuple) and name == "parameters":
         lines = [f"{indent}<parameters>"]
         for key, parameter_value in value:
             lines.append(
-                f'{indent}  <parameter name="{escape(str(key))}">'
+                f"{indent}  <parameter {_attribute('name', key)}>"
                 f"{escape(str(parameter_value))}</parameter>"
             )
         lines.append(f"{indent}</parameters>")
@@ -42,9 +51,9 @@ def format_citation(citation: "Citation") -> str:
     """Render a full citation as a ``<citation>`` document."""
     attributes = []
     if citation.version:
-        attributes.append(f'version="{escape(citation.version)}"')
+        attributes.append(_attribute("version", citation.version))
     if citation.timestamp:
-        attributes.append(f'timestamp="{escape(citation.timestamp)}"')
+        attributes.append(_attribute("timestamp", citation.timestamp))
     opening = "<citation" + ("".join(" " + a for a in attributes)) + ">"
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', opening]
     if citation.query_text:

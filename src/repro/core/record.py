@@ -7,9 +7,12 @@ is a record; policies combine sets of records (:data:`CitationSet`).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from typing import TypeVar
 
 from repro.errors import CitationError
+
+_Fragment = TypeVar("_Fragment")
 
 #: A set of citation records — the value citation expressions evaluate to.
 CitationSet = frozenset
@@ -29,6 +32,17 @@ def _freeze_value(value: object) -> object:
     return value
 
 
+#: Formats whose per-record rendering a record keeps (:meth:`CitationRecord.fragment`),
+#: one slot each.
+FRAGMENT_FORMATS = ("text", "bibtex", "ris", "json")
+_FRAGMENT_SLOTS = {fmt: f"_{fmt}_fragment" for fmt in FRAGMENT_FORMATS}
+
+
+def canonical_key(fields: Mapping[str, object]) -> str:
+    """The string that orders records deterministically in every rendering."""
+    return repr(sorted(fields.items(), key=repr))
+
+
 class CitationRecord(Mapping[str, object]):
     """An immutable, hashable mapping of citation fields to values.
 
@@ -36,19 +50,28 @@ class CitationRecord(Mapping[str, object]):
     names), ``contributors``, ``year``, ``publisher``, ``source``, ``url``,
     ``identifier``, ``version``, ``timestamp``, ``query``, ``parameters``.
     Arbitrary additional fields are allowed and preserved.
+
+    Values that depend only on the fields are computed once and kept for the
+    record's lifetime: the size on construction; the hash, the
+    :attr:`sort_key` and the per-format fragments of :meth:`fragment` on
+    first use.
     """
 
-    __slots__ = ("_fields", "_hash")
+    __slots__ = ("_fields", "_size", "_hash", "_sort_key", *_FRAGMENT_SLOTS.values())
 
     def __init__(self, fields: Mapping[str, object] | Iterable[tuple[str, object]] = ()) -> None:
         items = dict(fields)
         frozen = {}
+        size = 0
         for key, value in items.items():
             if not isinstance(key, str) or not key:
                 raise CitationError(f"citation field names must be non-empty strings, got {key!r}")
-            frozen[key] = _freeze_value(value)
+            value = frozen[key] = _freeze_value(value)
+            size += len(value) if isinstance(value, tuple) else 1
         self._fields: dict[str, object] = frozen
+        self._size = size
         self._hash: int | None = None
+        self._sort_key: str | None = None
 
     # -- mapping protocol ----------------------------------------------------
     def __getitem__(self, key: str) -> object:
@@ -59,6 +82,9 @@ class CitationRecord(Mapping[str, object]):
 
     def __len__(self) -> int:
         return len(self._fields)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._fields
 
     # -- manipulation -----------------------------------------------------------
     def with_fields(self, **updates: object) -> "CitationRecord":
@@ -92,17 +118,37 @@ class CitationRecord(Mapping[str, object]):
     # -- measurement -------------------------------------------------------------
     def size(self) -> int:
         """Number of atomic snippet values carried by the record."""
-        total = 0
-        for value in self._fields.values():
-            if isinstance(value, tuple):
-                total += len(value)
-            else:
-                total += 1
-        return total
+        return self._size
 
     def text_length(self) -> int:
         """Length of the record when rendered as plain text (rough size proxy)."""
         return sum(len(str(k)) + len(str(v)) for k, v in self._fields.items())
+
+    # -- rendering ------------------------------------------------------------------
+    @property
+    def sort_key(self) -> str:
+        """The record's position in a rendered citation (:func:`canonical_key`)."""
+        key = self._sort_key
+        if key is None:
+            key = self._sort_key = canonical_key(self._fields)
+        return key
+
+    def fragment(
+        self, fmt: str, render: Callable[["CitationRecord"], _Fragment]
+    ) -> _Fragment:
+        """``render(self)`` for format *fmt* (one of :data:`FRAGMENT_FORMATS`),
+        computed once and kept on the record.
+
+        Formatters keep each record's rendering here, so a record shared by
+        many citations is rendered once.  Racing threads may both render;
+        the results are equal and either is kept.
+        """
+        slot = _FRAGMENT_SLOTS[fmt]
+        value = getattr(self, slot, None)  # unset until the first rendering
+        if value is None:
+            value = render(self)
+            setattr(self, slot, value)
+        return value
 
     # -- dunder ---------------------------------------------------------------------
     def __hash__(self) -> int:

@@ -190,6 +190,10 @@ class TestUnionEquivalence:
             assert variant.result.rows == original.result.rows
             assert variant.citation.records == original.citation.records
             assert [a.name for a in variant.result.schema.attributes] == ["N"]
+            # The variant shares the cached records and expression, so their
+            # memoised sort keys, fragments and text serve its renderings.
+            assert variant.citation.records is original.citation.records
+            assert variant.citation.expression is original.citation.expression
 
     def test_mutation_invalidates_union_results(self, engine):
         with CitationService(engine) as service:

@@ -7,6 +7,8 @@ from repro.core.record import CitationRecord
 from repro.core.rewriting_selector import RewritingSelector
 from repro.errors import CitationError, NoRewritingError
 from repro.query.evaluator import evaluate
+from repro.relational.database import Database
+from repro.workloads import gtopdb
 
 
 class TestRewritings:
@@ -40,6 +42,44 @@ class TestCitationRecords:
         first = paper_engine.citation_record("V1", {"FID": 11})
         paper_engine.invalidate_caches()
         assert paper_engine.citation_record("V1", {"FID": 11}) is not first
+
+
+class TestGenerationReads:
+    """One plan execution reads ``Database.generation`` a fixed number of
+    times; record lookups during assembly do not re-derive it (each read
+    scans every relation's version)."""
+
+    @staticmethod
+    def _reads_during_cold_q5(monkeypatch, families: int) -> tuple[int, int]:
+        database = gtopdb.generate(families=families, targets_per_family=3, ligands=20, seed=5)
+        engine = CitationEngine(database, gtopdb.citation_views(extended=True), mode="formal")
+        plan = engine.compile_plan(gtopdb.example_queries()[4])
+        reads = 0
+        original = Database.generation
+
+        def counting(self):
+            nonlocal reads
+            reads += 1
+            return original.fget(self)
+
+        monkeypatch.setattr(Database, "generation", property(counting))
+        result = engine.execute_plan(plan)
+        monkeypatch.setattr(Database, "generation", original)
+        bindings = sum(len(tc.records) for tc in result.tuple_citations)
+        return reads, bindings
+
+    def test_reads_are_a_small_constant(self, monkeypatch):
+        small_reads, small_bindings = self._reads_during_cold_q5(monkeypatch, 10)
+        large_reads, large_bindings = self._reads_during_cold_q5(monkeypatch, 40)
+        assert large_bindings > 3 * small_bindings
+        assert small_reads == large_reads <= 2
+
+    def test_public_record_lookup_still_sees_writes(self, paper_engine, paper_db):
+        before = paper_engine.citation_record("V1", {"FID": 11})
+        paper_db.insert("Committee", (11, "A. Latecomer"))
+        after = paper_engine.citation_record("V1", {"FID": 11})
+        assert after is not before
+        assert "A. Latecomer" in repr(after)
 
 
 class TestCite:

@@ -77,6 +77,22 @@ class TestBibtex:
         keys = [line.split("{")[1].rstrip(",") for line in bibtex.splitlines() if line.startswith("@misc")]
         assert len(keys) == len(set(keys))
 
+    def test_version_becomes_edition_on_its_own_line(self):
+        record = CitationRecord({"title": "T"})
+        bibtex = Citation(frozenset({record}), version="7").to_bibtex(key_prefix="x")
+        assert bibtex == "@misc{x_T_1,\n  title = {T},\n  edition = {7},\n}"
+
+    def test_version_kept_when_title_mentions_edition(self):
+        record = CitationRecord({"title": "Second edition of the guide"})
+        bibtex = Citation(frozenset({record}), version="7").to_bibtex()
+        assert "  title = {Second edition of the guide},\n  edition = {7},\n}" in bibtex
+
+    def test_record_version_is_not_overridden(self):
+        record = CitationRecord({"title": "T", "version": "3"})
+        bibtex = Citation(frozenset({record}), version="7").to_bibtex()
+        assert "edition = {3}" in bibtex
+        assert "{7}" not in bibtex
+
 
 class TestRis:
     def test_type_is_data(self, citation):
@@ -107,6 +123,21 @@ class TestXml:
         root = ET.fromstring(citation.to_xml())
         parameters = root.findall("record/parameters/parameter")
         assert any(p.attrib["name"] == "FID" and p.text == "11" for p in parameters)
+
+    def test_attribute_values_round_trip(self):
+        name = 'say "hi"\tand\nbye & <go>'
+        record = CitationRecord({"title": "T", "parameters": {name: 'a "b"'}})
+        citation = Citation(
+            frozenset({record}), version='v"2 & co', timestamp="2017-05-14 \"noon\"\r\n"
+        )
+        root = ET.fromstring(citation.to_xml())
+        assert root.attrib == {
+            "version": 'v"2 & co',
+            "timestamp": '2017-05-14 "noon"\r\n',
+        }
+        (parameter,) = root.findall("record/parameters/parameter")
+        assert parameter.attrib["name"] == name
+        assert parameter.text == 'a "b"'
 
 
 class TestJson:
