@@ -27,7 +27,6 @@ import time
 from typing import Iterable, Iterator
 
 from repro.query.ast import Constant, Variable
-from repro.query.compiler import PreludeCache, reduce_program
 from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
 from repro.relational import algebra
@@ -237,22 +236,17 @@ def test_e16_compiled_vs_seed_evaluator():
 
 
 def test_e16_plan_cached_programs_amortize_compilation():
-    """Repeated evaluation reuses a held program, reduction and prelude.
+    """Repeated evaluation reuses a held program and the evaluator's indexes.
 
     The evaluator keeps no per-query state; the caller holds the compiled
-    artifacts, as a citation plan does, and passes them into every call.
+    program, as a citation plan does, and passes it into every call.
     """
     database = _instance()
     warm_eval = QueryEvaluator(database)
     program = warm_eval.compile(MULTI_ATOM_QUERY)
-    reduced = reduce_program(program)
-    prelude = PreludeCache(reduced)
-    assert reduced.program is program and prelude.reduced is reduced
 
     def held():
-        return warm_eval.evaluate_with_bindings(
-            MULTI_ATOM_QUERY, program=program, reduced=reduced, prelude=prelude
-        )
+        return warm_eval.evaluate_with_bindings(MULTI_ATOM_QUERY, program=program)
 
     _result, cold = _best_of(
         lambda: QueryEvaluator(database).evaluate_with_bindings(MULTI_ATOM_QUERY), 1
@@ -268,8 +262,7 @@ def test_e16_plan_cached_programs_amortize_compilation():
             }
         ],
     )
-    # The warm path must not be slower: programs, preludes and indexes are
-    # reused.
+    # The warm path must not be slower: programs and indexes are reused.
     assert warm <= cold * 1.5
 
 

@@ -1,8 +1,8 @@
 """E19 — observability overhead and EXPLAIN ANALYZE fidelity.
 
 The observability PR instruments the whole request lifecycle — service
-envelope, engine plan execution, evaluator strategy pick, per-join-step
-cardinalities — so two costs need gates:
+envelope, engine plan execution, per-join-step cardinalities — so two costs
+need gates:
 
 1. **Disabled tracing must stay ~free.**  Every instrumented call site pays
    one ``get_tracer()`` (a contextvar read), one ``enabled`` branch and at
@@ -16,11 +16,13 @@ cardinalities — so two costs need gates:
    warm serving path with tracing on must stay within 25% of the same path
    with tracing off.
 
-Plus a fidelity smoke: on the E18 sparse dangling-heavy instance, the second
-``CitationService.explain`` of the same query must show the semi-join
-prelude being *reused* (``prelude=hit`` on the evaluation span) — the
-EXPLAIN ANALYZE trace reports what the engine actually did, not just what it
-planned.  Machine-readable rows land in ``BENCH_e19.json`` (CI artifact).
+Plus a fidelity smoke: the second ``CitationService.explain`` of the same
+query must show the plan-cache hit and, under the main evaluation, one
+``join.step`` record per compiled step whose measured cardinalities add up
+(the last step's surviving frames are the evaluation's results) — the
+EXPLAIN ANALYZE trace reports what the engine actually did, not just what
+it planned.  Machine-readable rows land in ``BENCH_e19.json`` (CI
+artifact).
 """
 
 from __future__ import annotations
@@ -36,11 +38,7 @@ from repro.observability import (
     current_fingerprint,
     get_tracer,
 )
-from benchmarks.bench_e18_cost_cache import (
-    SCHEMA,
-    _dangling_instance,
-    _sparse_instance,
-)
+from benchmarks.bench_e21_verifier import SCHEMA, _dangling_instance
 from benchmarks.conftest import record_json, report
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -61,22 +59,20 @@ QUERY = (
 
 
 def _service(tracer: Tracer | None = None) -> CitationService:
-    """A serving stack over the E18 dangling chain, result cache off.
+    """A serving stack over the E21 dangling chain, result cache off.
 
     ``cache_results=False`` keeps every request on the execution path (the
-    quantity being gated); the plan cache and the warm semi-join prelude
-    stay on, exactly like steady-state serving traffic.
+    quantity being gated); the plan cache and the view indexes stay on,
+    exactly like steady-state serving traffic.
     """
     database = _dangling_instance(ROWS, seed=31)
-    engine = CitationEngine(
-        database, default_views_for_schema(SCHEMA), strategy="reduced"
-    )
+    engine = CitationEngine(database, default_views_for_schema(SCHEMA))
     return CitationService(engine, cache_results=False, tracer=tracer)
 
 
 def _warm_request_seconds(service: CitationService) -> float:
     """Best-of mean seconds per warm ``submit`` of the benchmark query."""
-    for _ in range(5):  # warm plan cache, prelude and indexes
+    for _ in range(5):  # warm plan cache and indexes
         service.cite(QUERY)
     best = float("inf")
     for _ in range(REPEATS):
@@ -155,18 +151,15 @@ def test_e19_enabled_tracing_overhead_is_bounded():
     )
 
 
-def test_e19_explain_trace_shows_warm_prelude_hit():
-    """EXPLAIN ANALYZE on the E18 sparse view reports real prelude reuse."""
-    sparse = _sparse_instance(500)
-    engine = CitationEngine(
-        sparse, default_views_for_schema(SCHEMA), strategy="reduced"
-    )
+def test_e19_explain_trace_shows_plan_hit_and_join_steps():
+    """EXPLAIN ANALYZE reports the warm plan and measured step cardinalities."""
+    engine = CitationEngine(_dangling_instance(500, seed=23), default_views_for_schema(SCHEMA))
 
     def main_evaluation(reportee):
         spans = [
             span
             for span in reportee.trace.find_all("query.evaluate")
-            if span.attributes.get("executor") == "reduced"
+            if span.attributes["query"] == "Q"  # skip view materialization
         ]
         assert spans, reportee.to_text()
         return spans[0]
@@ -174,29 +167,32 @@ def test_e19_explain_trace_shows_warm_prelude_hit():
     with CitationService(engine, cache_results=False) as service:
         first = service.explain(QUERY)
         second = service.explain(QUERY)
+        plan, _hit = service.plan_for(QUERY)
     assert first.ok and second.ok
-
-    cold = main_evaluation(first)
-    warm = main_evaluation(second)
-    assert cold.attributes["prelude"] in ("cold", "miss")
-    assert warm.attributes["prelude"] == "hit"
+    assert first.trace.find("service.plan").attributes["plan_cache"] == "miss"
     assert second.trace.find("service.plan").attributes["plan_cache"] == "hit"
-    assert "prelude=hit" in second.to_text()
+    assert "plan_cache=hit" in second.to_text()
+
+    warm = main_evaluation(second)
     steps = [
         span
         for span in second.trace.find_all("join.step")
         if span.parent_id == warm.span_id
     ]
-    assert steps, "warm evaluation lost its per-step cardinality records"
+    assert len(steps) == len(plan.compiled(0).steps), second.to_text()
+    for step in steps:
+        assert step.attributes["rows_scanned"] >= step.attributes["frames_out"] >= 0
+    assert steps[-1].attributes["frames_out"] == warm.attributes["results"]
+    assert "join.step[0]" in second.to_text()
 
     rows = [
         {
-            "op": "explain_prelude_smoke",
-            "first_prelude": cold.attributes["prelude"],
-            "second_prelude": warm.attributes["prelude"],
+            "op": "explain_join_step_smoke",
+            "first_plan_cache": "miss",
             "second_plan_cache": "hit",
             "join_steps": len(steps),
+            "results": warm.attributes["results"],
         }
     ]
-    report("E19: explain trace prelude fidelity on the sparse instance", rows)
+    report("E19: explain trace fidelity on the dangling chain", rows)
     record_json("e19", rows)

@@ -19,7 +19,6 @@ from repro.query.ast import ConjunctiveQuery
 from repro.query.evaluator import result_schema
 from repro.query.parser import parse_query
 from repro.query.sql import parse_sql
-from repro.relational.relation import Relation
 from repro.service.fingerprint import fingerprint
 
 __all__ = ["RelationalBackend"]
@@ -135,11 +134,11 @@ class RelationalBackend(CitationBackend):
 
         Answer rows and citations are identical across an isomorphism class;
         only the result schema (head variable names) and the reported query
-        text differ.
+        text differ, so the cached rows are reused without re-validation.
         """
         if parsed == result.query:
             return result
-        relation = Relation(result_schema(parsed), result.result.rows)
+        relation = result.result.renamed(result_schema(parsed))
         citation = result.citation.with_query_text(str(parsed))
         return CitedResult(
             query=parsed,

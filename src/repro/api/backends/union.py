@@ -29,7 +29,6 @@ from repro.errors import CitationError
 from repro.query.ast import ConjunctiveQuery
 from repro.query.evaluator import result_schema
 from repro.query.ucq import UnionQuery, as_union
-from repro.relational.relation import Relation
 from repro.service.fingerprint import fingerprint
 
 __all__ = ["UnionBackend"]
@@ -141,8 +140,8 @@ class UnionBackend(CitationBackend):
         if parsed == result.query:
             return result
         schema = result_schema(parsed.disjuncts[0])
-        relation = Relation(
-            type(schema)(parsed.name, schema.attributes, key=None), result.result.rows
+        relation = result.result.renamed(
+            type(schema)(parsed.name, schema.attributes, key=None)
         )
         citation = result.citation.with_query_text(str(parsed))
         return UnionCitedResult(

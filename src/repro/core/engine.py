@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping, Sequence
-from typing import Literal, NamedTuple
+from typing import Literal
 
 from repro.core.citation import Citation
 from repro.core.citation_view import CitationView, SnippetIndex, views_of
@@ -42,7 +42,7 @@ from repro.core.expression import (
 from repro.core.policy import CitationPolicy
 from repro.core.record import CitationRecord, CitationSet
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic
-from repro.analysis.ir import verify_citation_plan, verify_reduced
+from repro.analysis.ir import verify_citation_plan, verify_program
 from repro.analysis.query_rules import QueryAnalysis, analyze_query
 from repro.concurrency import shared_state
 from repro.core.rewriting_selector import RewritingSelector
@@ -54,20 +54,9 @@ from repro.errors import (
 )
 from repro.observability import NULL_SPAN, get_tracer
 from repro.query.ast import ConjunctiveQuery, Constant, Term, Variable
-from repro.query.compiler import (
-    JoinProgram,
-    PreludeCache,
-    ReducedProgram,
-    reduce_program,
-)
-from repro.query.evaluator import (
-    STRATEGIES,
-    Binding,
-    QueryEvaluator,
-    Strategy,
-    result_schema,
-)
-from repro.query.stats import CostModel, EvaluationMetrics, StatisticsCatalog
+from repro.query.compiler import JoinProgram
+from repro.query.evaluator import Binding, QueryEvaluator, result_schema
+from repro.query.stats import EvaluationMetrics
 from repro.query.parser import parse_query
 from repro.relational.database import Database
 from repro.relational.index import IndexManager
@@ -107,19 +96,6 @@ _ANALYSIS_CACHE_LIMIT = 1024
 PlanToken = tuple[int, int]
 
 
-class CompiledRewriting(NamedTuple):
-    """The compiled join artifacts of one rewriting of a plan.
-
-    Built together by :meth:`CitationEngine._compiled_rewriting`, so the
-    reduction wraps exactly this program and the prelude warms exactly this
-    reduction.
-    """
-
-    program: JoinProgram
-    reduced: ReducedProgram
-    prelude: PreludeCache
-
-
 @dataclass(frozen=True)
 class CitationPlan:
     """A compiled citation plan: the reusable, data-dependent-free part of
@@ -131,8 +107,7 @@ class CitationPlan:
     citation expressions, so a cached plan lets structurally identical queries
     skip the search entirely (the serving layer in :mod:`repro.service` builds
     on this split).  The plan is also the only owner of each rewriting's
-    compiled join program, semi-join reduction and warm prelude (one
-    :class:`CompiledRewriting` per rewriting position).
+    compiled :class:`~repro.query.compiler.JoinProgram`.
     """
 
     query: ConjunctiveQuery
@@ -147,22 +122,17 @@ class CitationPlan:
     core: ConjunctiveQuery | None = field(default=None, compare=False)
     #: Static-analysis findings from compile time (empty when analysis off).
     diagnostics: tuple[Diagnostic, ...] = field(default=(), compare=False)
-    #: The compiled artifacts per rewriting position, built on first
-    #: execution (or at compile time when plans are verified).  The program
-    #: and its reduction are pure description, independent of the data; the
-    #: prelude carries data-derived warm state stamped with the identity and
-    #: version of every relation it read, so it refreshes itself after data
-    #: drift and after a forced invalidation (which re-materialises every
-    #: view).  The plan is the only owner of this state, and it rides along
-    #: through the serving layer's plan cache, so warm traffic never
-    #: recompiles a rewriting or re-runs an unchanged semi-join pass.
-    #: Excluded from equality/hash.
-    _compiled: dict[int, CompiledRewriting] = field(
+    #: The compiled join program per rewriting position, built on first
+    #: execution (or at compile time when plans are verified).  A program is
+    #: pure description, independent of the data, and rides along through
+    #: the serving layer's plan cache, so warm traffic never recompiles a
+    #: rewriting.  Excluded from equality/hash.
+    _compiled: dict[int, JoinProgram] = field(
         default_factory=dict, compare=False, repr=False
     )
 
-    def compiled(self, position: int) -> CompiledRewriting | None:
-        """The compiled artifacts of rewriting *position* (``None`` before
+    def compiled(self, position: int) -> JoinProgram | None:
+        """The compiled program of rewriting *position* (``None`` before
         first use)."""
         return self._compiled.get(position)
 
@@ -252,16 +222,10 @@ class CitationEngine:
         selector: RewritingSelector | None = None,
         on_no_rewriting: Literal["error", "fallback"] = "error",
         fallback_citation: CitationRecord | None = None,
-        strategy: Strategy = "auto",
         analysis: AnalysisMode = "warn",
         verify_plans: VerifyMode | None = None,
     ) -> None:
         self.database = database
-        if strategy not in STRATEGIES:
-            raise CitationError(
-                f"unknown evaluation strategy {strategy!r}; expected one of {STRATEGIES}"
-            )
-        self.strategy: Strategy = strategy
         self.analysis: AnalysisMode = analysis
         if verify_plans is None:
             verify_plans = type(self).DEFAULT_VERIFY_PLANS
@@ -301,13 +265,8 @@ class CitationEngine:
         # materialised views survive from one request to the next (they are
         # re-validated against the views' identity and version on every probe).
         self._index_manager = IndexManager(database)
-        # Statistics and cost model feeding strategy="auto" — reading
-        # off the shared index manager, so pricing a query warms the very
-        # indexes its execution probes.  Evaluation metrics aggregate every
-        # strategy decision, cost estimate and prelude-cache outcome; the
-        # serving layer exposes them through CitationService.stats().
-        self._statistics = StatisticsCatalog(self._index_manager)
-        self._cost_model = CostModel(self._statistics)
+        # Evaluation counts and times; the serving layer exposes them through
+        # CitationService.stats().
         self.evaluation_metrics = EvaluationMetrics()
         # Static analysis is pure query-shape work (schema + containment, no
         # instance data), so one bounded cache serves every compile and every
@@ -355,17 +314,14 @@ class CitationEngine:
         depends on external state) and bumps the cache epoch so that compiled
         plans held elsewhere are invalidated too.
 
-        Besides the views, citation records, snippet indexes and view
-        indexes, this clears the statistics catalog.  Warm prelude state on
-        plans held elsewhere needs no separate protocol: the views are
-        re-materialised on next use, so every prelude's relation-identity
-        stamp misses and its state recomputes.
+        Besides the views, this clears citation records, snippet indexes,
+        view indexes and the rewriting selector's statistics.
         """
         self._view_relations = None
         self._record_cache.clear()
         self._snippet_indexes.clear()
         self._index_manager.invalidate()
-        self._statistics.invalidate()
+        self.selector.cost_model.statistics.invalidate()
         self._cache_epoch += 1
 
     def _refresh_generation(self) -> None:
@@ -636,8 +592,8 @@ class CitationEngine:
         """Run the IR verifier over *plan*'s compiled join IR (see
         ``verify_plans``).
 
-        The compiled artifacts are built eagerly here, by the same
-        :meth:`_compiled_rewriting` the executor would call lazily on first
+        The programs are compiled eagerly here, by the same
+        :meth:`_compiled_program` the executor would call lazily on first
         execution, so under ``warn``/``strict`` the verification itself is
         the only extra work, it happens once per plan compile, and warm
         traffic through the serving layer's plan cache never pays again.
@@ -647,8 +603,7 @@ class CitationEngine:
         evaluator = self._execution_evaluator()
         report = AnalysisReport()
         for position in range(len(plan.rewritings)):
-            compiled = self._compiled_rewriting(plan, position, evaluator)
-            report.extend(verify_reduced(compiled.reduced))
+            report.extend(verify_program(self._compiled_program(plan, position, evaluator)))
         with self._analysis_lock:
             self._analysis_stats["plans_verified"] += 1
             if report.has_errors:
@@ -668,12 +623,12 @@ class CitationEngine:
             )
 
     def verify_plan(self, plan: CitationPlan) -> AnalysisReport:
-        """IR-verify everything compiled onto *plan* (programs, reductions
-        and warm preludes), regardless of the ``verify_plans`` knob.
+        """IR-verify every program compiled onto *plan*, regardless of the
+        ``verify_plans`` knob.
 
-        Unlike the compile-time hook this also checks warm prelude state, so
-        tests and the race harness can assert plans stay verifier-clean
-        *after* being executed and cached.
+        Unlike the compile-time hook this also checks that each program
+        belongs to its rewriting, so tests and the race harness can assert
+        plans stay verifier-clean *after* being executed and cached.
         """
         return verify_citation_plan(plan)
 
@@ -734,9 +689,7 @@ class CitationEngine:
         per_rewriting: list[tuple[Rewriting, dict[tuple, list[Binding]]]] = []
         all_rows: set[tuple] = set()
         for position, rewriting in enumerate(plan.rewritings):
-            program, reduced, prelude = self._compiled_rewriting(
-                plan, position, evaluator
-            )
+            program = self._compiled_program(plan, position, evaluator)
             rewriting_span = (
                 tracer.span(
                     "engine.rewriting",
@@ -748,7 +701,7 @@ class CitationEngine:
             )
             with rewriting_span:
                 bindings_by_row = evaluator.evaluate_with_bindings(
-                    rewriting.query, program=program, reduced=reduced, prelude=prelude
+                    rewriting.query, program=program
                 )
                 rewriting_span.set_attribute("rows", len(bindings_by_row))
             per_rewriting.append((rewriting, bindings_by_row))
@@ -791,46 +744,33 @@ class CitationEngine:
         )
 
     # -- helpers -------------------------------------------------------------------------
-    def _compiled_rewriting(
+    def _compiled_program(
         self, plan: CitationPlan, position: int, evaluator: QueryEvaluator
-    ) -> CompiledRewriting:
-        """The compiled artifacts of *plan*'s rewriting *position*.
+    ) -> JoinProgram:
+        """The compiled program of *plan*'s rewriting *position*.
 
-        Built on first use in one step — compile, reduce, wrap in an empty
-        prelude — and published on the plan with ``setdefault``, so threads
-        racing on a cold plan all adopt the first entry and the three
-        objects stay identity-paired.  Compile-time verification and
-        execution both go through here.
+        Compiled on first use and published on the plan with ``setdefault``,
+        so threads racing on a cold plan all adopt the first program.
+        Compile-time verification and execution both go through here.
         """
-        compiled = plan.compiled(position)
-        if compiled is None:
-            program = evaluator.compile(plan.rewritings[position].query)
-            reduced = reduce_program(program)
-            compiled = plan._compiled.setdefault(
-                position,
-                CompiledRewriting(
-                    program,
-                    reduced,
-                    PreludeCache(reduced, metrics=self.evaluation_metrics),
-                ),
+        program = plan.compiled(position)
+        if program is None:
+            program = plan._compiled.setdefault(
+                position, evaluator.compile(plan.rewritings[position].query)
             )
-        return compiled
+        return program
 
     def _execution_evaluator(self) -> QueryEvaluator:
         """A fresh evaluator over the current views for one execution.
 
-        Cheap to build: it shares the engine's index manager, statistics,
-        cost model and metrics, and holds no compiled state of its own (the
-        plans own that).  Mutations must not race in-flight executions —
+        Cheap to build: it shares the engine's index manager and metrics, and
+        holds no compiled state of its own (the plans own that).  Mutations must not race in-flight executions —
         the usual reader/writer discipline of the in-memory store.
         """
         return QueryEvaluator(
             self.database,
             extra_relations=self.view_relations(),
             index_manager=self._index_manager,
-            strategy=self.strategy,
-            statistics=self._statistics,
-            cost_model=self._cost_model,
             metrics=self.evaluation_metrics,
         )
 
@@ -846,7 +786,7 @@ class CitationEngine:
         fallback = self.fallback_citation or CitationRecord(
             {"title": "Cited database", "note": "no citation view covers this query"}
         )
-        result_relation = QueryEvaluator(self.database, strategy=self.strategy).evaluate(
+        result_relation = QueryEvaluator(self.database).evaluate(
             query.without_parameters()
         )
         rows = result_relation.rows

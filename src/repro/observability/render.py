@@ -1,13 +1,12 @@
 """Rendering a trace tree as EXPLAIN ANALYZE text.
 
 One request's trace *is* its annotated plan: the service spans carry cache
-outcomes, the engine spans carry rewriting counts, the evaluation spans carry
-the strategy pick with its reason and the cost model's estimate, and the
-``join.step`` annotation children carry per-step estimated vs. actual
-cardinalities.  :func:`render_trace` draws the tree with box-drawing
-connectors; ``join.step`` spans get a compact one-line cardinality format::
+outcomes, the engine spans carry rewriting counts, and the evaluation spans'
+``join.step`` annotation children carry per-step measured cardinalities.
+:func:`render_trace` draws the tree with box-drawing connectors;
+``join.step`` spans get a compact one-line cardinality format::
 
-    join.step[0] Family  rows 1500 -> 8 (survival 0.53%, est 0.40%) scanned=8 out=5
+    join.step[0] Family  rows 1500  scanned=8 out=5
 
 Everything else prints ``name  duration  key=value ...`` with long values
 elided, so the renderer stays useful for arbitrary spans.
@@ -26,18 +25,7 @@ __all__ = ["render_trace"]
 _ELIDE_AT = 72
 
 #: Keys consumed by the join.step special-case formatter.
-_STEP_KEYS = frozenset(
-    {
-        "step",
-        "predicate",
-        "relation_rows",
-        "rows_in",
-        "rows_scanned",
-        "frames_out",
-        "survival",
-        "est_survival",
-    }
-)
+_STEP_KEYS = frozenset({"step", "predicate", "relation_rows", "rows_scanned", "frames_out"})
 
 
 def _short(value: Any) -> str:
@@ -50,31 +38,13 @@ def _short(value: Any) -> str:
     return text
 
 
-def _percent(fraction: Any) -> str:
-    if not isinstance(fraction, (int, float)):
-        return "?"
-    return f"{fraction * 100.0:.2f}%"
-
-
 def _step_line(span: "TraceSpan") -> str:
     attrs = span.attributes
     index = attrs.get("step", "?")
     predicate = attrs.get("predicate", "?")
-    relation_rows = attrs.get("relation_rows")
-    rows_in = attrs.get("rows_in")
     parts = [f"join.step[{index}] {predicate}"]
-    if relation_rows is not None and rows_in is not None:
-        flow = f"rows {relation_rows} -> {rows_in}"
-        survival = attrs.get("survival")
-        est = attrs.get("est_survival")
-        qualifiers = []
-        if survival is not None:
-            qualifiers.append(f"survival {_percent(survival)}")
-        if est is not None:
-            qualifiers.append(f"est {_percent(est)}")
-        if qualifiers:
-            flow += f" ({', '.join(qualifiers)})"
-        parts.append(flow)
+    if "relation_rows" in attrs:
+        parts.append(f"rows {attrs['relation_rows']}")
     if "rows_scanned" in attrs:
         parts.append(f"scanned={attrs['rows_scanned']}")
     if "frames_out" in attrs:

@@ -97,6 +97,23 @@ class Relation:
         if self._key_index is not None:
             self._key_index.clear()
 
+    def renamed(self, schema: RelationSchema) -> "Relation":
+        """These rows under *schema*, which differs from this one only in names.
+
+        The rows were validated when they entered this relation, so they are
+        copied as they are rather than inserted and validated one by one.
+        """
+        if (
+            [a.dtype for a in schema.attributes] != [a.dtype for a in self.schema.attributes]
+            or schema.key is not None
+        ):
+            raise IntegrityError(
+                f"{schema.name!r} is not a keyless renaming of {self.schema.name!r}"
+            )
+        renamed = Relation(schema)
+        renamed._rows = set(self._rows)
+        return renamed
+
     # -- lookup -----------------------------------------------------------
     def lookup_key(self, key: tuple) -> tuple | None:
         """Return the row with primary key *key*, or ``None``.
@@ -128,10 +145,8 @@ class Relation:
     def distinct_count(self, positions: Iterable[int]) -> int:
         """Number of distinct projections of the rows onto *positions*.
 
-        Index-free fallback for the statistics catalog
-        (:mod:`repro.query.stats`); with an
-        :class:`~repro.relational.index.IndexManager` at hand the hash
-        index's key count answers this without a scan.
+        One scan per call; :class:`repro.query.stats.StatisticsCatalog`
+        caches it per relation version.
         """
         return len(self.project_positions(positions))
 

@@ -3,7 +3,7 @@
 A :class:`Deadline` is an absolute point on the monotonic clock.  The serving
 layer creates one per request (from ``CitationRequest.timeout`` or a
 ``submit_batch`` budget) and installs it with :func:`deadline_scope`; the
-engine, evaluator, prelude passes and compiled join loops — several import
+engine, evaluator and compiled join loops — several import
 layers down — read it back with :func:`current_deadline` and poll
 :meth:`Deadline.check` at their cancellation checkpoints.  The moment the
 deadline passes, the checkpoint raises
@@ -85,8 +85,8 @@ class Deadline:
         """A rate-limited checkpoint closure for per-row call sites.
 
         The closure reads the clock only every *stride* calls; in between it
-        costs one integer increment.  Each call site (each join, each
-        prelude pass) builds its own checker, so the counter needs no lock.
+        costs one integer increment.  Each call site (each join) builds its
+        own checker, so the counter needs no lock.
         """
         expires_at = self.expires_at
         monotonic = time.monotonic

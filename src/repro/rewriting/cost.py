@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 from repro.query.ast import Variable
+from repro.query.stats import StatisticsCatalog
 from repro.relational.database import Database
 from repro.rewriting.rewriting import Rewriting
 from repro.rewriting.view import View
@@ -60,6 +61,11 @@ class RewritingCostModel:
     join_selectivity:
         Multiplicative factor applied per join variable shared between view
         atoms (a crude but standard selectivity guess).
+
+    Distinct parameter values are read through the model's own
+    :class:`~repro.query.stats.StatisticsCatalog`, which caches them per
+    relation identity and version, so repeated selections over unchanged
+    data scan no relation and a write rescans only the relation it changed.
     """
 
     def __init__(
@@ -71,6 +77,7 @@ class RewritingCostModel:
         self.database = database
         self.default_cardinality = default_cardinality
         self.join_selectivity = join_selectivity
+        self.statistics = StatisticsCatalog()
 
     # -- statistics ------------------------------------------------------------
     def relation_cardinality(self, name: str) -> float:
@@ -108,10 +115,11 @@ class RewritingCostModel:
             for atom in definition.body:
                 for position, term in enumerate(atom.terms):
                     if isinstance(term, Variable) and term == parameter:
-                        if self.database is not None and atom.predicate in self.database:
-                            relation = self.database.relation(atom.predicate)
-                            distinct = len(
-                                relation.project_positions([position])
+                        if atom.predicate in self.database:
+                            distinct = self.statistics.distinct_count(
+                                atom.predicate,
+                                self.database.relation(atom.predicate),
+                                (position,),
                             )
                             best = min(best, float(max(distinct, 1)))
             estimate *= best

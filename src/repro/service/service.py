@@ -158,8 +158,7 @@ class CitationService:
         )
         if engine is not None:
             engine.database.add_mutation_listener(self._count_mutation)
-            # Strategy picks, cost-model estimates vs. actuals and prelude
-            # cache hit/miss rates, polled live at stats() time.
+            # Join evaluation counts and times, polled live at stats() time.
             self.metrics.register_gauge_source(
                 "evaluation", engine.evaluation_metrics.snapshot
             )
@@ -206,9 +205,8 @@ class CitationService:
 
         The request's EXPLAIN ANALYZE: the returned
         :class:`~repro.service.explain.ExplainReport` carries the response
-        plus the full span tree — plan/result-cache outcomes, the strategy
-        pick with its reason and cost estimate, per-join-step estimated vs.
-        measured cardinalities, and the prelude-cache outcome.  The result
+        plus the full span tree — plan/result-cache outcomes and per-join-step
+        measured cardinalities.  The result
         cache is bypassed (via the request's ``no_result_cache`` metadata
         key) so the explained request actually executes; the plan cache is
         exercised normally, so explaining a warm query shape shows the hit.
@@ -391,7 +389,6 @@ class CitationService:
                 "generation": generation,
                 "cache_epoch": epoch,
                 "mode": self.engine.mode,
-                "strategy": self.engine.strategy,
                 "analysis": self.engine.analysis,
                 "citation_views": len(self.engine.citation_views),
             }

@@ -1,7 +1,7 @@
 """The compiled-plan IR verifier: clean on real output, precise on mutations.
 
-Two halves.  First, everything the compiler actually produces — programs,
-reductions, warm preludes — must verify clean (the whole tier-1 suite also
+Two halves.  First, every program the compiler actually produces must
+verify clean (the whole tier-1 suite also
 enforces this via the ``strict`` default installed in ``conftest.py``).
 Second, each class of hand-seeded corruption must be rejected with its
 specific I-code, so the verifier localises faults instead of merely
@@ -17,14 +17,8 @@ import pytest
 from strategies import HeldQuery
 
 from repro import CitationEngine, parse_query
-from repro.analysis.ir import (
-    verify_citation_plan,
-    verify_prelude,
-    verify_program,
-    verify_reduced,
-)
+from repro.analysis.ir import verify_citation_plan, verify_program
 from repro.errors import PlanVerificationError
-from repro.query.compiler import StepReduction, reduce_program
 from repro.query.evaluator import QueryEvaluator
 from repro.relational.database import Database
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
@@ -59,40 +53,24 @@ def codes(report):
     return sorted({diagnostic.code for diagnostic in report})
 
 
-def warm_prelude(evaluator, query):
-    """Compile *query*, reduce it and warm a prelude for it.
-
-    Evaluates twice through the prelude: the second pass caches the bucket
-    plan on the snapshot.
-    """
-    held = HeldQuery(evaluator, query)
-    held.rows(strategy="reduced")
-    held.rows(strategy="reduced")
-    return held.program, held.reduced, held.prelude
-
-
 # ---------------------------------------------------------------------------
 # Clean compiler output verifies clean
 # ---------------------------------------------------------------------------
 class TestCleanArtifacts:
-    def test_program_reduction_and_prelude_verify_clean(self, evaluator):
-        program, reduced, prelude = warm_prelude(evaluator, CHAIN)
-        assert prelude._snapshot is not None and prelude._snapshot.plan is not None
-        assert not list(verify_program(program))
-        assert not list(verify_reduced(reduced))
-        assert not list(verify_prelude(prelude))
+    def test_held_program_verifies_clean_after_evaluation(self, evaluator):
+        held = HeldQuery(evaluator, CHAIN)
+        assert held.rows() == held.rows()
+        assert not list(verify_program(held.program))
 
     def test_constants_and_equalities_verify_clean(self, evaluator):
         query = parse_query('Q(X) :- R(X, Y), S(Y, "3"), X = "1"')
         program = evaluator.compile(query)
         assert not list(verify_program(program))
-        assert not list(verify_reduced(reduce_program(program)))
 
     def test_self_join_verifies_clean(self, evaluator):
         query = parse_query("Q(X, Z) :- R(X, Y), R(Y, Z)")
         program = evaluator.compile(query)
         assert not list(verify_program(program))
-        assert not list(verify_reduced(reduce_program(program)))
 
     def test_repeated_variable_within_atom_verifies_clean(self, evaluator):
         query = parse_query("Q(X) :- R(X, X)")
@@ -133,42 +111,6 @@ class TestSeededMutations:
             ),
         )
         assert "I001" in codes(verify_program(mutated))
-
-    def test_dropped_reduction_fields_are_i006(self, evaluator):
-        reduced = reduce_program(evaluator.compile(CHAIN))
-        target = next(
-            index
-            for index, reduction in enumerate(reduced.reductions)
-            if reduction != StepReduction((), (), (), ())
-        )
-        reductions = list(reduced.reductions)
-        reductions[target] = StepReduction((), (), (), ())
-        mutated = dataclasses.replace(reduced, reductions=tuple(reductions))
-        assert codes(verify_reduced(mutated)) == ["I006"]
-
-    def test_flipped_acyclic_flag_is_i005(self, evaluator):
-        reduced = reduce_program(evaluator.compile(CHAIN))
-        assert reduced.acyclic and reduced.semi_joins
-        mutated = dataclasses.replace(reduced, acyclic=False)
-        assert codes(verify_reduced(mutated)) == ["I005"]
-
-    def test_reordered_semi_joins_are_i005(self, evaluator):
-        reduced = reduce_program(evaluator.compile(CHAIN))
-        assert len(reduced.semi_joins) >= 2
-        mutated = dataclasses.replace(
-            reduced, semi_joins=tuple(reversed(reduced.semi_joins))
-        )
-        assert "I005" in codes(verify_reduced(mutated))
-
-    def test_stale_bucket_plan_is_i007(self, evaluator):
-        _program, _reduced, prelude = warm_prelude(evaluator, CHAIN)
-        snapshot = prelude._snapshot
-        assert snapshot is not None and snapshot.plan is not None
-        # Replace one plan entry's step with an equal-but-distinct copy: the
-        # snapshot no longer refers to the program's own step objects.
-        entry = snapshot.plan[0]
-        snapshot.plan[0] = (dataclasses.replace(entry[0]), *entry[1:])
-        assert codes(verify_prelude(prelude)) == ["I007"]
 
     def test_mutated_seed_is_i004(self, evaluator):
         query = parse_query('Q(X) :- R(X, Y), X = "1"')
@@ -254,7 +196,7 @@ class TestEngineKnob:
     def test_verify_plan_clean_after_cite(self, paper_engine, paper_query):
         plan = paper_engine.compile_plan(paper_query)
         paper_engine.execute_plan(plan)
-        paper_engine.execute_plan(plan)  # warm preludes and bucket plans
+        paper_engine.execute_plan(plan)  # a second run reuses the held programs
         report = paper_engine.verify_plan(plan)
         assert not list(report)
 
@@ -268,15 +210,9 @@ class TestEngineKnob:
         paper_engine.execute_plan(other)
         own, foreign = plan.compiled(0), other.compiled(0)
         assert own is not None and foreign is not None
-        # Graft the whole entry compiled for a different rewriting.
+        # Graft the program compiled for a different rewriting.
         plan._compiled[0] = foreign
-        assert "I004" in codes(verify_citation_plan(plan))
-        # Graft a foreign program under the plan's own reduction.
-        plan._compiled[0] = own._replace(program=foreign.program)
-        assert {"I004", "I006"} <= set(codes(verify_citation_plan(plan)))
-        # Graft a foreign reduction under the plan's own prelude.
-        plan._compiled[0] = own._replace(reduced=foreign.reduced)
-        assert {"I006", "I007"} <= set(codes(verify_citation_plan(plan)))
+        assert codes(verify_citation_plan(plan)) == ["I004"]
         plan._compiled[0] = own
         assert not list(verify_citation_plan(plan))
 
@@ -287,11 +223,3 @@ class TestEngineKnob:
         assert stats["plans_verified"] >= 1
         assert stats["verify_violations"] == 0
 
-
-def test_reduce_program_is_deterministic(evaluator):
-    program = evaluator.compile(CHAIN)
-    first = reduce_program(program)
-    second = reduce_program(program)
-    assert first.semi_joins == second.semi_joins
-    assert first.reductions == second.reductions
-    assert first.subtrees == second.subtrees

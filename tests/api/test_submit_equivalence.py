@@ -20,10 +20,12 @@ from repro.api import (
 from repro.core.temporal import TemporalCitationEngine, add_timestamps, timestamp_view
 from repro.core.union_engine import cite_union
 from repro.errors import CitationError
+from repro.query.parser import parse_query
 from repro.rdf.bgp import BGPQuery, TriplePattern
 from repro.rdf.citation_rdf import ClassCitationView, RDFCitationEngine
 from repro.rdf.ontology import Ontology
 from repro.rdf.triples import RDF_TYPE, TripleStore
+from repro.relational.relation import Relation
 from repro.versioning.persistent import CitationResolver
 from repro.versioning.version_store import VersionedDatabase
 from repro.workloads import gtopdb
@@ -117,6 +119,39 @@ class TestRelationalEquivalence:
             assert not cold.cached and warm.cached
             _same_cited_result(cold.unwrap(), reference)
             _same_cited_result(warm.unwrap(), reference)
+
+    def test_renamed_hit_reuses_the_cached_rows_under_its_own_schema(
+        self, engine, monkeypatch
+    ):
+        renamed = "Q(N) :- FamilyIntro(F, T), Family(F, N, D)"
+        reference = CitationEngine(
+            gtopdb.paper_instance(),
+            gtopdb.citation_views(extended=True),
+            policy=CitationPolicy.default(),
+        ).cite(renamed)
+        with CitationService(engine) as service:
+            original = service.submit(CitationRequest(query=CQ)).unwrap()
+            inserts = []
+            original_insert = Relation.insert
+
+            def counting_insert(self, row):
+                inserts.append(row)
+                return original_insert(self, row)
+
+            monkeypatch.setattr(Relation, "insert", counting_insert)
+            response = service.submit(CitationRequest(query=renamed))
+            monkeypatch.undo()
+        assert response.cached
+        variant = response.unwrap()
+        assert inserts == []  # the cached rows were not re-inserted
+        assert variant.result.schema.attribute_names == ("N",)
+        assert original.result.schema.attribute_names == ("FName",)
+        assert variant.result.rows == original.result.rows == reference.result.rows
+        # The citation is the cached one, reported under the variant's text.
+        expected = original.citation.with_query_text(str(parse_query(renamed)))
+        for fmt in ("text", "bibtex", "ris", "json", "xml", "csl_json"):
+            rendered = getattr(variant.citation, f"to_{fmt}")()
+            assert rendered == getattr(expected, f"to_{fmt}")(), fmt
 
     def test_warm_call_hits_plan_cache(self, engine):
         with CitationService(engine, cache_results=False) as service:

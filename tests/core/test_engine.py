@@ -201,7 +201,8 @@ class TestValidation:
     def test_unknown_strategy_rejected_at_construction(
         self, paper_db, paper_views, strategy
     ):
-        with pytest.raises(CitationError, match="auto.*program.*reduced"):
+        # There is one join executor and no strategy knob to pass.
+        with pytest.raises(TypeError, match="strategy"):
             CitationEngine(paper_db, paper_views, strategy=strategy)
 
     def test_rewriting_with_uncovered_view_rejected(self, paper_engine, paper_views):
@@ -231,24 +232,20 @@ class TestCompiledJoinPrograms:
     def test_repeated_execution_reuses_the_programs(self, paper_engine, paper_query):
         plan = paper_engine.compile_plan(paper_query)
         first = paper_engine.execute_plan(plan)
-        programs = [plan.compiled(i).program for i in range(len(plan.rewritings))]
+        programs = [plan.compiled(i) for i in range(len(plan.rewritings))]
         second = paper_engine.execute_plan(plan)
-        assert all(
-            plan.compiled(i).program is program for i, program in enumerate(programs)
-        )
+        assert all(plan.compiled(i) is program for i, program in enumerate(programs))
         assert first.result.rows == second.result.rows
 
     def test_programs_survive_data_changes(self, paper_engine, paper_query, paper_db):
         plan = paper_engine.compile_plan(paper_query)
         paper_engine.execute_plan(plan)
-        programs = [plan.compiled(i).program for i in range(len(plan.rewritings))]
+        programs = [plan.compiled(i) for i in range(len(plan.rewritings))]
         paper_db.insert("Family", (60, "Fresh", "d"))
         paper_db.insert("FamilyIntro", (60, "fresh intro"))
         result = paper_engine.execute_plan(plan)
         # Same program objects, fresh data.
-        assert all(
-            plan.compiled(i).program is program for i, program in enumerate(programs)
-        )
+        assert all(plan.compiled(i) is program for i, program in enumerate(programs))
         assert ("Fresh",) in result.result.rows
 
     def test_plans_with_programs_stay_equal_and_hashable(self, paper_engine, paper_query):
@@ -274,121 +271,26 @@ class TestCompiledJoinPrograms:
         paper_engine.invalidate_caches()
         assert len(paper_engine._index_manager) == 0
 
-
-class TestReducedProgramsOnPlans:
-    def test_execute_attaches_reduced_programs(self, paper_db, paper_views, paper_query):
-        # verify_plans="off": strict verification (the suite default) would
-        # attach the reduced programs eagerly at compile time.
-        paper_engine = CitationEngine(paper_db, paper_views, verify_plans="off")
-        plan = paper_engine.compile_plan(paper_query)
-        assert all(plan.compiled(i) is None for i in range(len(plan.rewritings)))
-        paper_engine.execute_plan(plan)
-        reduced = [plan.compiled(i).reduced for i in range(len(plan.rewritings))]
-        # The reduction wraps exactly the plan's program.
-        assert all(
-            r.program is plan.compiled(i).program for i, r in enumerate(reduced)
-        )
-        # Rewritings over the citation views are acyclic conjunctive queries.
-        assert all(r.acyclic for r in reduced)
-        paper_engine.execute_plan(plan)
-        assert all(plan.compiled(i).reduced is r for i, r in enumerate(reduced))
-
-    @pytest.mark.parametrize("strategy", ["program", "reduced", "auto"])
-    def test_every_strategy_produces_the_same_citations(
-        self, paper_db, paper_views, paper_query, strategy
-    ):
-        baseline = CitationEngine(paper_db, paper_views).cite(paper_query)
-        engine = CitationEngine(paper_db, paper_views, strategy=strategy)
-        result = engine.cite(paper_query)
-        assert result.result.rows == baseline.result.rows
-        assert result.citation.records == baseline.citation.records
-        by_row = {tc.row: tc.records for tc in result.tuple_citations}
-        baseline_by_row = {tc.row: tc.records for tc in baseline.tuple_citations}
-        assert by_row == baseline_by_row
-
-
-class TestPreludesOnPlans:
-    """Warm-prelude state rides compiled plans through the serving layer.
-
-    The paper micro-instance is densely joining, so ``strategy="auto"``
-    correctly refuses the prelude there — the warm-path tests force
-    ``"reduced"`` to exercise the cache itself.
-    """
-
-    @pytest.fixture
-    def reduced_engine(self, paper_db, paper_views):
-        return CitationEngine(paper_db, paper_views, strategy="reduced")
-
-    def test_execute_attaches_and_warms_preludes(self, reduced_engine, paper_query):
-        paper_engine = reduced_engine
-        plan = paper_engine.compile_plan(paper_query)
-        paper_engine.execute_plan(plan)
-        preludes = [plan.compiled(i).prelude for i in range(len(plan.rewritings))]
-        assert all(
-            p.reduced is plan.compiled(i).reduced for i, p in enumerate(preludes)
-        )
-        paper_engine.execute_plan(plan)
-        assert all(plan.compiled(i).prelude is p for i, p in enumerate(preludes))
-        assert all(p.hits >= 1 for p in preludes)
-
-    def test_data_drift_partially_refreshes_instead_of_recomputing(
-        self, reduced_engine, paper_query, paper_db
-    ):
-        paper_engine = reduced_engine
-        plan = paper_engine.compile_plan(paper_query)
-        baseline = paper_engine.execute_plan(plan)
-        paper_db.insert("Family", (99, "Novel family", "d"))
-        paper_db.insert("FamilyIntro", (99, "intro"))
-        drifted = paper_engine.execute_plan(plan)
-        assert ("Novel family",) in drifted.result.rows
-        assert baseline.result.rows <= drifted.result.rows
-        preludes = [plan.compiled(i).prelude for i in range(len(plan.rewritings))]
-        # The views re-materialise wholesale (new Relation objects), so the
-        # refresh is a miss — but it reuses whatever did not change.
-        assert all(p.misses >= 1 for p in preludes)
-
-    def test_strategy_metrics_surface_on_the_engine(self, paper_engine, paper_query):
+    def test_evaluation_metrics_surface_on_the_engine(self, paper_engine, paper_query):
         paper_engine.cite(paper_query)
         paper_engine.cite(paper_query)
         snapshot = paper_engine.evaluation_metrics.snapshot()
-        picks = snapshot["picks"]
-        assert picks["program"] + picks["reduced"] >= 2
-        lookups = (
-            snapshot["prelude_cache"]["hits"] + snapshot["prelude_cache"]["misses"]
-        )
-        assert lookups >= 0  # shape is present even when auto picked program
+        # One evaluation per rewriting per execution (two rewritings).
+        assert snapshot["evaluations"] >= 4
+        assert snapshot["mean_ms"] >= 0.0
 
 
 class TestInvalidationClearsWarmState:
     """Regression: invalidate_caches() must retire every piece of warm state."""
 
     def test_invalidate_clears_the_evaluator_caches(self, paper_engine, paper_query):
-        # The evaluators hold no state of their own; what they read and the
-        # engine owns — the statistics catalog — must be dropped.
-        paper_engine.cite(paper_query)
-        assert len(paper_engine._statistics) > 0
+        # The evaluators hold no state of their own; the statistics the
+        # economical selection reads must be dropped too.
+        paper_engine.cite(paper_query, mode="economical")
+        statistics = paper_engine.selector.cost_model.statistics
+        assert len(statistics) > 0
         paper_engine.invalidate_caches()
-        assert len(paper_engine._statistics) == 0
-
-    def test_stale_epoch_plans_drop_their_preludes(self, paper_db, paper_views, paper_query):
-        engine = CitationEngine(paper_db, paper_views, strategy="reduced")
-        plan = engine.compile_plan(paper_query)
-        engine.execute_plan(plan)
-        engine.execute_plan(plan)
-        preludes = [plan.compiled(i).prelude for i in range(len(plan.rewritings))]
-        hits = [p.hits for p in preludes]
-        misses = [p.misses for p in preludes]
-        assert all(h >= 1 for h in hits)
-        engine.invalidate_caches()
-        # The engine cannot reach the plan at invalidation time; the views
-        # re-materialise, so every prelude's identity stamp misses and its
-        # state recomputes on the next execution.
-        result = engine.execute_plan(plan)
-        assert [p.misses for p in preludes] == [m + 1 for m in misses]
-        assert [p.hits for p in preludes] == hits
-        fresh = CitationEngine(paper_db, paper_views).cite(paper_query)
-        assert result.result.rows == fresh.result.rows
-        assert result.citation.records == fresh.citation.records
+        assert len(statistics) == 0
 
     def test_results_stay_exact_across_invalidation_and_drift(
         self, paper_engine, paper_query, paper_db

@@ -5,6 +5,7 @@ import pytest
 from repro.core.rewriting_selector import RewritingSelector
 from repro.errors import PolicyError
 from repro.query.parser import parse_query
+from repro.relational.relation import Relation
 from repro.rewriting.minicon import MiniConRewriter
 from repro.core.citation_view import views_of
 from repro.workloads import gtopdb
@@ -74,3 +75,43 @@ class TestDescribe:
             rows[0]
         )
         assert rows[0]["citation_size"] <= rows[-1]["citation_size"]
+
+
+class TestStatisticsReuse:
+    """Distinct parameter values come from the cost model's version-stamped
+    statistics catalog, so repeated selection scans nothing new."""
+
+    @pytest.fixture
+    def counted_scans(self, monkeypatch):
+        scans = []
+        original = Relation.project_positions
+
+        def counting(self, positions):
+            scans.append(self.schema.name)
+            return original(self, positions)
+
+        monkeypatch.setattr(Relation, "project_positions", counting)
+        return scans
+
+    def test_unchanged_data_is_scanned_once_and_a_write_rescans_its_relation(
+        self, counted_scans
+    ):
+        database = gtopdb.generate(families=20, seed=3)
+        views = views_of(gtopdb.citation_views(extended=True))
+        rewriter = MiniConRewriter(views)
+        rewritings = [
+            rewriting
+            for query in gtopdb.example_queries()
+            for rewriting in rewriter.rewrite(query)
+        ]
+        selector = RewritingSelector(database, strategy="min_citation_size", keep=1)
+        first = selector.select(rewritings)
+        assert {"Family", "Target"} <= set(counted_scans)
+
+        counted_scans.clear()
+        assert selector.select(rewritings) == first
+        assert counted_scans == []
+
+        database.insert("Family", (10_000, "Fresh family", "d"))
+        selector.select(rewritings)
+        assert counted_scans and set(counted_scans) == {"Family"}

@@ -1,4 +1,4 @@
-"""Property: all evaluation strategies agree on random conjunctive queries.
+"""Property: the compiled evaluator agrees with brute force on random queries.
 
 Three independent answers are compared on randomly generated queries and
 instances (generators shared via :mod:`strategies`), including self-joins
@@ -10,15 +10,35 @@ instances (generators shared via :mod:`strategies`), including self-joins
   body atoms' relations and filters by the term constraints — no join
   ordering, no slots, no indexes, just the textbook semantics.
 
-The semi-join-reduction strategies get the same treatment in
-``test_strategy_equivalence.py``.
+The inputs cover acyclic and cyclic bodies, parameterized queries, per-row
+binding sets, and inserts and deletes between evaluations of one held
+program (as a citation plan holds it), against database relations and the
+view-like extra relation alike.
 """
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from strategies import brute_force, random_instances, random_queries, self_join_queries
+from strategies import (
+    HeldQuery,
+    acyclic_queries,
+    apply_drift,
+    brute_force,
+    cyclic_queries,
+    drift_sequences,
+    parameterized_queries,
+    random_instances,
+    random_queries,
+    rows,
+    self_join_queries,
+)
 
+from repro.query.ast import Constant
 from repro.query.evaluator import QueryEvaluator
+
+
+def _answers(database, extra, query, use_indexes=True):
+    evaluator = QueryEvaluator(database, extra_relations=extra, use_indexes=use_indexes)
+    return evaluator.evaluate(query).rows
 
 
 class TestEvaluatorEquivalence:
@@ -26,11 +46,25 @@ class TestEvaluatorEquivalence:
     @settings(max_examples=80, deadline=None)
     def test_indexed_scan_and_brute_force_agree(self, query, instance):
         database, extra = instance
-        indexed = QueryEvaluator(database, extra_relations=extra, use_indexes=True)
-        scanning = QueryEvaluator(database, extra_relations=extra, use_indexes=False)
         reference = brute_force(query, database, extra)
-        assert indexed.evaluate(query).rows == reference
-        assert scanning.evaluate(query).rows == reference
+        assert _answers(database, extra, query) == reference
+        assert _answers(database, extra, query, use_indexes=False) == reference
+
+    @given(acyclic_queries(), random_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_acyclic_queries_agree(self, query, instance):
+        database, extra = instance
+        reference = brute_force(query, database, extra)
+        assert _answers(database, extra, query) == reference
+        assert _answers(database, extra, query, use_indexes=False) == reference
+
+    @given(cyclic_queries(), random_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_cyclic_queries_agree(self, query, instance):
+        database, extra = instance
+        reference = brute_force(query, database, extra)
+        assert _answers(database, extra, query) == reference
+        assert _answers(database, extra, query, use_indexes=False) == reference
 
     @given(random_queries(), random_instances())
     @settings(max_examples=60, deadline=None)
@@ -40,12 +74,61 @@ class TestEvaluatorEquivalence:
         scanning = QueryEvaluator(database, extra_relations=extra, use_indexes=False)
         left = indexed.evaluate_with_bindings(query)
         right = scanning.evaluate_with_bindings(query)
-        assert set(left) == set(right)
+        assert set(left) == set(right) == brute_force(query, database, extra)
         for row in left:
             as_sets = lambda bindings: {
                 frozenset(b.items()) for b in bindings
             }
             assert as_sets(left[row]) == as_sets(right[row])
+
+    @given(parameterized_queries(), random_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_parameterized_evaluation_agrees(self, query_and_values, instance):
+        query, valuation = query_and_values
+        database, extra = instance
+        substituted = query.substitute(
+            {param: Constant(valuation[param.name]) for param in query.parameters}
+        )
+        evaluator = QueryEvaluator(database, extra_relations=extra)
+        assert evaluator.evaluate_parameterized(query, valuation).rows == brute_force(
+            substituted, database, extra
+        )
+
+    @given(
+        random_queries(),
+        random_instances(),
+        rows(max_size=4),
+        rows(max_size=4),
+        st.sampled_from(["R", "S"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_held_program_stays_exact_after_database_drift(
+        self, query, instance, inserts, deletes, relation
+    ):
+        database, extra = instance
+        held = HeldQuery(QueryEvaluator(database, extra_relations=extra), query)
+        assert held.rows() == brute_force(query, database, extra)
+        database.insert_many(relation, inserts)
+        for row in deletes:
+            database.delete(relation, row)
+        assert held.rows() == brute_force(query, database, extra)
+
+    @given(
+        st.one_of(acyclic_queries(max_atoms=3), random_queries(), self_join_queries()),
+        random_instances(max_rows=6),
+        drift_sequences(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_held_program_stays_exact_under_view_and_base_drift(self, query, instance, ops):
+        # Drift reaches the view-like extra relation directly (only its
+        # version moves) as well as the database relations; the held program
+        # must stay exact after each step.
+        database, extra = instance
+        held = HeldQuery(QueryEvaluator(database, extra_relations=extra), query)
+        assert held.rows() == brute_force(query, database, extra)
+        for op in ops:
+            apply_drift(database, extra, [op])
+            assert held.rows() == brute_force(query, database, extra)
 
     @given(self_join_queries(), random_instances())
     @settings(max_examples=40, deadline=None)

@@ -1,24 +1,18 @@
-"""Tests for the statistics catalog, the cost model and evaluation metrics.
+"""Tests for the statistics catalog and the evaluation metrics.
 
-The cost model replaced the fixed 4096-row cardinality threshold of
-``strategy="auto"``: these tests pin the statistics it reads (row counts,
-distinct keys, bucket skew, sampled key overlap — all version-stamped and
-lazily refreshed), the two decision directions the fixed threshold got wrong
-(dense-large must run the plain program, sparse-small must reduce), and the
-metrics every decision leaves behind.
+The catalog serves the rewriting cost model's distinct counts: row counts
+and per-position distinct values, version-stamped and lazily refreshed.
+The metrics count and time every join evaluation, overall and per query
+fingerprint.
 """
 
-import pytest
+import json
 
-from repro.query.compiler import PreludeCache, reduce_program
+from repro.observability.context import fingerprint_scope
 from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
-from repro.query.stats import (
-    EvaluationMetrics,
-    StatisticsCatalog,
-)
+from repro.query.stats import EvaluationMetrics, StatisticsCatalog
 from repro.relational.database import Database
-from repro.relational.index import IndexManager
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
 
@@ -32,15 +26,19 @@ SCHEMA = DatabaseSchema(
 
 PATH = parse_query("Q(A, D) :- R(A, B), S(B, C), T(C, D)")
 
-#: The fixed total-cardinality gate ``strategy="auto"`` used before the cost
-#: model: reduce at or above this many body rows.
-FIXED_THRESHOLD = 4096
-
 
 def _relation(name: str, rows) -> Relation:
     return Relation(
         RelationSchema(name, [Attribute("a", int), Attribute("b", int)]), rows
     )
+
+
+def _chain_db(rows: int = 50) -> Database:
+    database = Database(SCHEMA)
+    database.insert_many("R", ((i, i) for i in range(rows)))
+    database.insert_many("S", ((i, i) for i in range(rows)))
+    database.insert_many("T", ((i, i) for i in range(rows)))
+    return database
 
 
 class TestStatisticsCatalog:
@@ -61,56 +59,29 @@ class TestStatisticsCatalog:
         other = _relation("R", [(1, 2), (3, 4)])
         assert catalog.statistics("R", other).row_count == 2
 
-    def test_distinct_counts_via_the_index_manager(self):
-        relation = _relation("R", [(1, 10), (1, 11), (2, 12)])
-        manager = IndexManager()
-        catalog = StatisticsCatalog(manager)
-        assert catalog.distinct_count("R", relation, (0,)) == 2
-        assert catalog.distinct_count("R", relation, (1,)) == 3
-        assert catalog.max_bucket("R", relation, (0,)) == 2
-        # The manager now holds the very indexes a join would probe with.
-        assert len(manager) == 2
-
     def test_distinct_counts_without_a_manager_fall_back_to_scans(self):
         relation = _relation("R", [(1, 10), (1, 11), (2, 12)])
         catalog = StatisticsCatalog()
         assert catalog.distinct_count("R", relation, (0,)) == 2
-        assert catalog.max_bucket("R", relation, (0,)) == 2
+        assert catalog.distinct_count("R", relation, (1,)) == 3
 
-    def test_skew_reads_uniformity(self):
-        relation = _relation("R", [(1, i) for i in range(9)] + [(2, 0), (3, 0)])
-        catalog = StatisticsCatalog(IndexManager())
-        catalog.max_bucket("R", relation, (0,))
-        stats = catalog.statistics("R", relation)
-        # 11 rows over 3 keys, biggest bucket 9: skew 9 / (11/3).
-        assert stats.skew((0,)) == pytest.approx(9 / (11 / 3))
-
-    def test_key_overlap_fractions(self):
-        left = _relation("L", [(i, 0) for i in range(10)])       # keys 0..9
-        right = _relation("Rr", [(i, 0) for i in range(5, 20)])  # keys 5..19
-        catalog = StatisticsCatalog(IndexManager())
-        left_in_right, right_in_left = catalog.key_overlap(
-            ("L", left, (0,)), ("Rr", right, (0,))
-        )
-        assert left_in_right == pytest.approx(0.5)
-        assert right_in_left == pytest.approx(5 / 15)
-
-    def test_key_overlap_of_an_empty_side_is_zero(self):
-        left = _relation("L", [(1, 0)])
-        right = _relation("Rr", [])
+    def test_distinct_counts_are_cached_per_version(self, monkeypatch):
+        relation = _relation("R", [(1, 10), (1, 11), (2, 12)])
         catalog = StatisticsCatalog()
-        assert catalog.key_overlap(("L", left, (0,)), ("Rr", right, (0,))) == (
-            0.0,
-            0.0,
-        )
+        scans = []
+        original = Relation.project_positions
 
-    def test_key_overlap_refreshes_on_version_drift(self):
-        left = _relation("L", [(0, 0)])
-        right = _relation("Rr", [(1, 0)])
-        catalog = StatisticsCatalog()
-        assert catalog.key_overlap(("L", left, (0,)), ("Rr", right, (0,)))[0] == 0.0
-        right.insert((0, 1))
-        assert catalog.key_overlap(("L", left, (0,)), ("Rr", right, (0,)))[0] == 1.0
+        def counting(self, positions):
+            scans.append(self.schema.name)
+            return original(self, positions)
+
+        monkeypatch.setattr(Relation, "project_positions", counting)
+        assert catalog.distinct_count("R", relation, (0,)) == 2
+        assert catalog.distinct_count("R", relation, (0,)) == 2
+        assert scans == ["R"]
+        relation.insert((3, 13))
+        assert catalog.distinct_count("R", relation, (0,)) == 3
+        assert scans == ["R", "R"]
 
     def test_invalidate_drops_everything(self):
         relation = _relation("R", [(1, 2)])
@@ -121,158 +92,46 @@ class TestStatisticsCatalog:
         assert len(catalog) == 0
 
 
-def _dense_db(rows: int = 1200) -> Database:
-    """Fully joining chain: every key matches, nothing dangles."""
-    database = Database(SCHEMA)
-    database.insert_many("R", ((i, i) for i in range(rows)))
-    database.insert_many("S", ((i, i) for i in range(rows)))
-    database.insert_many("T", ((i, i) for i in range(rows)))
-    return database
-
-
-def _sparse_db(rows: int = 300, fanout: int = 15) -> Database:
-    """Fan-out chain whose last relation is ~98% disjoint: most partial
-    bindings the plain program enumerates die at the final probe."""
-    domain = rows // fanout
-    database = Database(SCHEMA)
-    database.insert_many("R", ((i, i % domain) for i in range(rows)))
-    database.insert_many("S", ((i % domain, i) for i in range(rows)))
-    survivors = max(2, rows // 50)
-    database.insert_many(
-        "T",
-        [(i, i) for i in range(survivors)]
-        + [(rows + i, i) for i in range(rows - survivors)],
-    )
-    return database
-
-
-class TestCostModel:
-    def _estimate(self, database):
-        evaluator = QueryEvaluator(database)
-        reduced = evaluator.reduce(PATH)
-        relations = {name: database.relation(name) for name in ("R", "S", "T")}
-        return evaluator.cost_model.estimate(reduced, relations)
-
-    def test_dense_data_never_pays_the_prelude(self):
-        estimate = self._estimate(_dense_db())
-        assert not estimate.prefers_reduction
-        assert estimate.strategy == "program"
-        # Nothing dangles: the reduced cost is the plain cost plus the
-        # prelude, so the margin is exactly the prelude.
-        assert estimate.survival == (1.0, 1.0, 1.0)
-        assert estimate.reduced_cost == pytest.approx(
-            estimate.program_cost + estimate.prelude_cost
-        )
-
-    def test_dangling_heavy_data_prefers_the_reduction(self):
-        estimate = self._estimate(_sparse_db())
-        assert estimate.prefers_reduction
-        assert estimate.strategy == "reduced"
-        assert min(estimate.survival) < 0.25
-
-    def test_threshold_is_wrong_in_both_directions(self):
-        # The two workloads the fixed 4096-row gate misjudges, pinned.
-        dense = _dense_db(1500)   # 4500 rows total: threshold said "reduced"
-        sparse = _sparse_db(300)  # 900 rows total: threshold said "program"
-        assert dense.total_rows() >= FIXED_THRESHOLD
-        assert sparse.total_rows() < FIXED_THRESHOLD
-        assert QueryEvaluator(dense).select_strategy(PATH) == "program"
-        assert QueryEvaluator(sparse).select_strategy(PATH) == "reduced"
-
-    def test_cartesian_products_gain_nothing(self):
-        database = Database(SCHEMA)
-        database.insert_many("R", ((i, i) for i in range(10)))
-        database.insert_many("S", ((i, i) for i in range(10)))
-        query = parse_query("Q(A, C) :- R(A, B), S(C, D)")
-        evaluator = QueryEvaluator(database)
-        reduced = evaluator.reduce(query)
-        assert reduced.semi_joins == ()  # disconnected: no useful edges
-        relations = {"R": database.relation("R"), "S": database.relation("S")}
-        verdict = evaluator.cost_model.estimate(reduced, relations)
-        assert not verdict.prefers_reduction
-        assert verdict.prelude_cost == 0.0
-
-    def test_as_dict_is_json_friendly(self):
-        import json
-
-        estimate = self._estimate(_sparse_db())
-        payload = estimate.as_dict()
-        assert json.loads(json.dumps(payload)) == payload
-        assert payload["strategy"] == "reduced"
-
-
 class TestEvaluationMetrics:
-    def test_picks_and_reasons_are_counted(self):
+    def test_evaluations_are_counted_and_timed(self):
         metrics = EvaluationMetrics()
-        metrics.record_pick("program", "cost_model")
-        metrics.record_pick("reduced", "warm_prelude")
-        metrics.record_pick("reduced", "forced")
+        evaluator = QueryEvaluator(_chain_db(), metrics=metrics)
+        evaluator.evaluate(PATH)
+        evaluator.evaluate_with_bindings(PATH)
         snapshot = metrics.snapshot()
-        assert snapshot["picks"] == {"program": 1, "reduced": 2}
-        assert snapshot["pick_reasons"] == {
-            "cost_model": 1,
-            "forced": 1,
-            "warm_prelude": 1,
-        }
+        assert snapshot["evaluations"] == 2
+        assert snapshot["mean_ms"] > 0.0
+        assert snapshot["tracked_queries"] == 0  # no fingerprint in scope
 
-    def test_estimates_and_actuals_aggregate(self):
+    def test_evaluations_accumulate_per_fingerprint(self):
         metrics = EvaluationMetrics()
-        evaluator = QueryEvaluator(_sparse_db(), metrics=metrics)
-        reduced = reduce_program(evaluator.compile(PATH))
-        prelude = PreludeCache(reduced)
-        for _ in range(2):
-            evaluator.evaluate_with_bindings(
-                PATH, program=reduced.program, reduced=reduced, prelude=prelude
-            )
-        snapshot = metrics.snapshot()
-        assert snapshot["picks"]["reduced"] == 2
-        # The second evaluation rides the warm prelude: one cold estimate.
-        assert snapshot["cost_model"]["estimates"] == 1
-        assert snapshot["pick_reasons"].get("warm_prelude") == 1
-        assert snapshot["cost_model"]["actual_ms"]["reduced"]["count"] == 2
-        assert snapshot["cost_model"]["actual_ms"]["reduced"]["mean_ms"] > 0.0
+        evaluator = QueryEvaluator(_chain_db(), metrics=metrics)
+        with fingerprint_scope("fp-path"):
+            evaluator.evaluate(PATH)
+            evaluator.evaluate(PATH)
+        profiles = metrics.query_profiles()
+        assert list(profiles) == ["fp-path"]
+        assert profiles["fp-path"]["evaluations"] == 2
+        assert profiles["fp-path"]["mean_ms"] > 0.0
 
-    def test_prelude_counters_flow_through(self):
+    def test_tracked_fingerprints_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(EvaluationMetrics, "MAX_TRACKED_QUERIES", 2)
         metrics = EvaluationMetrics()
-        evaluator = QueryEvaluator(
-            _sparse_db(), strategy="reduced", metrics=metrics
-        )
-        reduced = reduce_program(evaluator.compile(PATH))
-        held = PreludeCache(reduced, metrics=metrics)
-        for _ in range(2):
-            evaluator.evaluate_with_bindings(
-                PATH, program=reduced.program, reduced=reduced, prelude=held
-            )
-        prelude = metrics.snapshot()["prelude_cache"]
-        assert prelude["hits"] == 1
-        assert prelude["misses"] == 1
-        assert prelude["steps_recomputed"] == 3
-        assert prelude["hit_rate"] == 0.5
+        for fingerprint in ("a", "b", "c"):
+            metrics.record(0.001, fingerprint)
+        assert list(metrics.query_profiles()) == ["b", "c"]
+        assert metrics.snapshot()["evaluations"] == 3
 
     def test_reset_zeroes_everything(self):
         metrics = EvaluationMetrics()
-        metrics.record_pick("program", "forced")
-        metrics.record_prelude(hit=True)
+        metrics.record(0.002, "fp")
         metrics.reset()
-        snapshot = metrics.snapshot()
-        assert snapshot["picks"] == {"program": 0, "reduced": 0}
-        assert snapshot["prelude_cache"]["hits"] == 0
+        assert metrics.snapshot() == {"evaluations": 0, "mean_ms": 0.0, "tracked_queries": 0}
+        assert metrics.query_profiles() == {}
 
     def test_snapshot_is_json_friendly(self):
-        import json
-
         metrics = EvaluationMetrics()
-        evaluator = QueryEvaluator(_sparse_db(), metrics=metrics)
+        evaluator = QueryEvaluator(_chain_db(), metrics=metrics)
         evaluator.evaluate(PATH)
         snapshot = metrics.snapshot()
         assert json.loads(json.dumps(snapshot)) == snapshot
-
-
-class TestCacheBounds:
-    def test_select_strategy_leaves_no_metric_trace(self):
-        metrics = EvaluationMetrics()
-        evaluator = QueryEvaluator(_sparse_db(), metrics=metrics)
-        evaluator.select_strategy(PATH)
-        snapshot = metrics.snapshot()
-        assert snapshot["picks"] == {"program": 0, "reduced": 0}
-        assert snapshot["cost_model"]["estimates"] == 0

@@ -136,8 +136,8 @@ class TestServiceUnderChurn:
             assert counters["mutations_observed"] == writer_ops
 
             # 3. No cross-request plan corruption: everything compiled during
-            # the stampede — plans, programs, reductions, warm preludes —
-            # still passes the IR verifier.
+            # the stampede — plans and their programs — still passes the IR
+            # verifier.
             for query in QUERIES:
                 plan = engine.compile_plan(parse_query(query))
                 engine.execute_plan(plan)
@@ -188,13 +188,9 @@ class TestEngineCacheRaces:
     def test_concurrent_cold_plan_execution_stays_identity_paired(
         self, database, monkeypatch
     ):
-        # verify_plans="off" keeps the plan cold until its first execution;
-        # "reduced" makes every execution run through the prelude.
+        # verify_plans="off" keeps the plan cold until its first execution.
         engine = CitationEngine(
-            database,
-            gtopdb.citation_views(extended=True),
-            strategy="reduced",
-            verify_plans="off",
+            database, gtopdb.citation_views(extended=True), verify_plans="off"
         )
         query = "Q(FName, Text) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)"
         reference = engine.cite(query).result.rows
@@ -216,7 +212,7 @@ class TestEngineCacheRaces:
             return program
 
         def recording_evaluate(self, rewriting_query, **held):
-            used.append((rewriting_query, held["program"], held["reduced"], held["prelude"]))
+            used.append((rewriting_query, held["program"]))
             return original_evaluate(self, rewriting_query, **held)
 
         monkeypatch.setattr(QueryEvaluator, "compile", slow_compile)
@@ -242,16 +238,10 @@ class TestEngineCacheRaces:
             rewriting.query: plan.compiled(position)
             for position, rewriting in enumerate(plan.rewritings)
         }
-        for program, reduced, prelude in entries.values():
-            assert reduced.program is program
-            assert prelude.reduced is reduced
-        # Every execution ran on the published entry, not on its own build.
+        # Every execution ran on the published program, not on its own build.
         assert len(used) == THREADS * len(plan.rewritings)
-        for rewriting_query, program, reduced, prelude in used:
-            entry = entries[rewriting_query]
-            assert program is entry.program
-            assert reduced is entry.reduced
-            assert prelude is entry.prelude
+        for rewriting_query, program in used:
+            assert program is entries[rewriting_query]
         assert not list(engine.verify_plan(plan))
 
     def test_concurrent_cold_records_after_a_write_adopt_one_index_per_view(

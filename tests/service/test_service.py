@@ -331,7 +331,7 @@ class TestCompiledProgramsThroughThePlanCache:
         plan, hit = service.plan_for(query)
         assert hit
         assert plan.rewritings  # a real plan, not a fallback
-        programs = [plan.compiled(i).program for i in range(len(plan.rewritings))]
+        programs = [plan.compiled(i) for i in range(len(plan.rewritings))]
         assert all(program is not None for program in programs)
         # A structurally identical (renamed) query hits the same plan, so it
         # reuses the same compiled join programs.
@@ -339,66 +339,21 @@ class TestCompiledProgramsThroughThePlanCache:
         twin, twin_hit = service.plan_for(renamed)
         assert twin_hit and twin is plan
 
-    def test_plan_hit_carries_reduced_programs(self, service):
-        """Serving traffic amortizes the semi-join analysis: one execution
-        attaches the reduced programs, every later hit reuses them."""
-        query = "Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)"
-        service.cite(query)
-        plan, hit = service.plan_for(query)
-        assert hit
-        reduced = [plan.compiled(i).reduced for i in range(len(plan.rewritings))]
-        assert all(r is not None for r in reduced)
-        assert all(r.acyclic for r in reduced)  # citation views are acyclic CQs
-        service.cite(query)  # warm: must reuse, not re-analyse
-        assert all(plan.compiled(i).reduced is r for i, r in enumerate(reduced))
-
-    def test_stats_expose_the_engine_strategy(self, service):
-        assert service.stats()["engine"]["strategy"] == "auto"
-
 
 class TestEvaluationMetricsExposure:
-    def test_stats_expose_strategy_and_prelude_metrics(self, service):
+    def test_stats_expose_evaluation_metrics(self, service):
         service.cite(QUERY)
         service.cite(QUERY)
-        stats = service.stats()
-        evaluation = stats["evaluation"]
-        assert set(evaluation) == {
-            "picks",
-            "pick_reasons",
-            "cost_model",
-            "prelude_cache",
-        }
-        picks = evaluation["picks"]
+        evaluation = service.stats()["evaluation"]
+        assert set(evaluation) == {"evaluations", "mean_ms", "tracked_queries"}
         # First call executes, the repeat is a result-cache hit: at least
-        # one strategy decision was recorded (one per rewriting).
-        assert picks["program"] + picks["reduced"] >= 1
-        assert "estimates" in evaluation["cost_model"]
-        assert "hit_rate" in evaluation["prelude_cache"]
+        # one evaluation was recorded (one per rewriting).
+        assert evaluation["evaluations"] >= 1
+        assert evaluation["tracked_queries"] >= 1
 
     def test_stats_are_json_serialisable_with_evaluation_block(self, service):
         import json
 
         service.cite(QUERY)
-        payload = json.dumps(service.stats(), sort_keys=True)
-        assert "prelude_cache" in payload
-
-    def test_warm_plan_hits_surface_as_prelude_hits(self, db):
-        engine = CitationEngine(
-            db, gtopdb.citation_views(extended=True), strategy="reduced"
-        )
-        with CitationService(engine, cache_results=False) as svc:
-            svc.cite(QUERY)
-            svc.cite(QUERY)  # plan hit + warm prelude: no reduction runs
-            prelude = svc.stats()["evaluation"]["prelude_cache"]
-            assert prelude["hits"] >= 1
-            assert prelude["misses"] >= 1
-
-    def test_isomorphic_requests_share_the_warm_prelude(self, db):
-        engine = CitationEngine(
-            db, gtopdb.citation_views(extended=True), strategy="reduced"
-        )
-        with CitationService(engine, cache_results=False) as svc:
-            svc.cite(QUERY)
-            svc.cite(QUERY_RENAMED)  # same fingerprint: same plan, same state
-            prelude = svc.stats()["evaluation"]["prelude_cache"]
-            assert prelude["hits"] >= 1
+        payload = json.loads(json.dumps(service.stats(), sort_keys=True))
+        assert payload["evaluation"]["evaluations"] >= 1

@@ -3,8 +3,8 @@
 Every property suite generates over the same tiny world: two binary base
 relations ``R`` and ``S`` plus a view-like extra relation ``V`` handed to the
 evaluator as an ``extra_relation``, with values drawn from a small domain so
-joins actually join.  The generators cover the shapes the evaluator's
-strategies must agree on:
+joins actually join.  The generators cover the shapes the evaluator must
+get right:
 
 * :func:`random_queries` — arbitrary safe CQs (acyclic and cyclic mixed),
   optionally with constants and the view predicate;
@@ -19,16 +19,16 @@ strategies must agree on:
   sequences against both the database relations (through the
   :class:`~repro.relational.database.Database` update path) and the
   view-like extra relation (mutated directly, bypassing the database), for
-  properties about caches that must survive data drift.
+  properties about held programs that must survive data drift.
 
 :func:`brute_force` is the shared reference semantics: filter the full
 cartesian product of the body extensions, no join order, no indexes — the
-textbook answer every execution strategy is compared against.
+textbook answer the compiled evaluator is compared against.
 
-:class:`HeldQuery` holds one query's compiled program, reduction and warm
-prelude across evaluations, the way a citation plan does (the evaluator
-itself keeps no per-query state), so properties about warm state exercise
-the same path serving traffic takes.
+:class:`HeldQuery` holds one query's compiled program across evaluations,
+the way a citation plan does (the evaluator itself keeps no per-query
+state), so properties about data drift exercise the same path serving
+traffic takes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import itertools
 from hypothesis import strategies as st
 
 from repro.query.ast import Atom, ConjunctiveQuery, Constant, Variable
-from repro.query.compiler import PreludeCache, reduce_program
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
@@ -329,23 +328,13 @@ def brute_force(query: ConjunctiveQuery, database, extra=None) -> set[tuple]:
 
 
 class HeldQuery:
-    """One query's compiled artifacts, held across evaluations."""
+    """One query's compiled program, held across evaluations."""
 
     def __init__(self, evaluator, query: ConjunctiveQuery) -> None:
         self.evaluator = evaluator
         self.query = query
         self.program = evaluator.compile(query)
-        self.reduced = reduce_program(self.program)
-        self.prelude = PreludeCache(self.reduced)
 
-    def rows(self, strategy=None) -> set[tuple]:
-        """Evaluate through the held artifacts; return the answer rows."""
-        return set(
-            self.evaluator.evaluate_with_bindings(
-                self.query,
-                program=self.program,
-                reduced=self.reduced,
-                strategy=strategy,
-                prelude=self.prelude,
-            )
-        )
+    def rows(self) -> set[tuple]:
+        """Evaluate through the held program; return the answer rows."""
+        return set(self.evaluator.evaluate_with_bindings(self.query, program=self.program))
